@@ -472,6 +472,14 @@ let e9 () =
 (* ------------------------------------------------------------------ *)
 (* E10 — RID intersection end to end.                                 *)
 
+(* The fixed smallest-first rule, run cold without its planning
+   probes: exact, or through the §3 prefilters at [epsilon]. *)
+let fixed_rule ?epsilon t conds =
+  Planner.Ast.of_conditions conds
+  |> Planner.Ast.normalize ~sigma_of:(Ridint.Table.col_sigma t)
+  |> Planner.Plan.smallest_first ?epsilon t
+  |> Planner.Exec.execute t
+
 let e10 () =
   header "E10 (§1/§3): RID intersection — exact vs approximate";
   let rows_n = 65536 in
@@ -508,19 +516,15 @@ let e10 () =
     List.map
       (fun (wa, wb) ->
         let cs = conds (wa, wb) in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let exact = Ridint.Table.query t cs in
-        let eb = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        Iosim.Device.clear_pool dev;
-        Iosim.Device.reset_stats dev;
-        let approx, checked = Ridint.Table.query_approx t ~epsilon:0.1 cs in
-        let ab = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-        assert (Cbitmap.Posting.equal exact approx);
+        let exact = fixed_rule t cs in
+        let eb = exact.Planner.Exec.stats.Iosim.Stats.bits_read in
+        let approx = fixed_rule ~epsilon:0.1 t cs in
+        let ab = approx.Planner.Exec.stats.Iosim.Stats.bits_read in
+        assert (Option.equal Cbitmap.Posting.equal exact.rows approx.rows);
         [
           Printf.sprintf "%dx%d" (wa + 1) (wb + 1);
-          string_of_int (Cbitmap.Posting.cardinal exact);
-          string_of_int checked;
+          string_of_int exact.count;
+          string_of_int approx.checked;
           string_of_int eb;
           string_of_int ab;
           Printf.sprintf "%.2f" (float_of_int eb /. float_of_int (max 1 ab));
@@ -2901,8 +2905,12 @@ let wal_frontier ~smoke =
                 let q_ios =
                   List.map2
                     (fun (lo, hi) reference ->
-                      let got, stats =
-                        Indexing.Instance.query_posting_with_stats inst ~lo ~hi
+                      let answer, stats =
+                        Indexing.Instance.query_cold inst ~lo ~hi
+                      in
+                      let got =
+                        Indexing.Answer.to_posting ~n:inst.Indexing.Instance.n
+                          answer
                       in
                       if not (Cbitmap.Posting.equal got reference) then
                         incr mismatches;
@@ -3556,14 +3564,14 @@ let planner_run ~smoke () =
         { Ridint.Table.column = "c2"; lo = lo2; hi = lo2 + w2 - 1 };
       ]
     in
-    let base, bs = Ridint.Table.query_with_stats t conds in
+    let base = fixed_rule t conds in
     let out = Planner.Exec.run ~cost t (Planner.Ast.of_conditions conds) in
     let rows = Option.get out.Planner.Exec.rows in
     if
-      (not (Cbitmap.Posting.equal rows base))
+      (not (Cbitmap.Posting.equal rows (Option.get base.Planner.Exec.rows)))
       || not (Cbitmap.Posting.equal rows (Ridint.Table.naive t conds))
     then incr mismatches;
-    let b = Iosim.Stats.ios bs and p = Iosim.Stats.ios out.Planner.Exec.stats in
+    let b = Iosim.Stats.ios base.stats and p = Iosim.Stats.ios out.stats in
     b_total := !b_total + b;
     p_total := !p_total + p;
     if i < 8 then

@@ -41,28 +41,26 @@ let () =
     ]
   in
 
-  (* Exact RID intersection. *)
-  Iosim.Device.clear_pool device;
-  Iosim.Device.reset_stats device;
-  let exact = Ridint.Table.query table married_men_33 in
-  let exact_stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
-  Format.printf "exact:  %d married men of age 33  (%d block reads, %d bits)@."
-    (Cbitmap.Posting.cardinal exact)
-    exact_stats.Iosim.Stats.block_reads exact_stats.Iosim.Stats.bits_read;
-
-  (* Approximate intersection with verification (§3). *)
-  Iosim.Device.clear_pool device;
-  Iosim.Device.reset_stats device;
-  let approx, checked =
-    Ridint.Table.query_approx table ~epsilon:0.05 married_men_33
+  (* The fixed smallest-first rule as a plan: decode the rarest
+     condition's RIDs, then intersect the others — exactly, or through
+     the approximate answers and a verification of the survivors
+     (§3). *)
+  let fixed_rule ?epsilon conds =
+    Planner.Ast.of_conditions conds
+    |> Planner.Ast.normalize ~sigma_of:(Ridint.Table.col_sigma table)
+    |> Planner.Plan.smallest_first ?epsilon table
+    |> Planner.Exec.execute table
   in
-  let approx_stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
+  let exact = fixed_rule married_men_33 in
+  Format.printf "exact:  %d married men of age 33  (%d block reads, %d bits)@."
+    exact.count exact.stats.Iosim.Stats.block_reads
+    exact.stats.Iosim.Stats.bits_read;
+  let approx = fixed_rule ~epsilon:0.05 married_men_33 in
   Format.printf
     "approx: %d rows after verifying %d candidates (%d block reads, %d bits)@."
-    (Cbitmap.Posting.cardinal approx)
-    checked approx_stats.Iosim.Stats.block_reads
-    approx_stats.Iosim.Stats.bits_read;
-  assert (Cbitmap.Posting.equal exact approx);
+    approx.count approx.checked approx.stats.Iosim.Stats.block_reads
+    approx.stats.Iosim.Stats.bits_read;
+  assert (Option.equal Cbitmap.Posting.equal exact.rows approx.rows);
 
   (* A wider conjunctive query plus a partial-match query. *)
   let prosperous_middle_age =
@@ -72,7 +70,13 @@ let () =
       { Ridint.Table.column = "status"; lo = 1; hi = 1 };
     ]
   in
-  let all = Ridint.Table.query table prosperous_middle_age in
+  (* The cost-based planner picks its own plan; the answer is exact. *)
+  let all =
+    Option.get
+      (Planner.Exec.run table
+         (Planner.Ast.of_conditions prosperous_middle_age))
+        .rows
+  in
   let two_of_three =
     Ridint.Table.query_at_least table ~k:2 prosperous_middle_age
   in

@@ -45,11 +45,8 @@ let query_cold t ~lo ~hi =
   let answer = traced_query t ~lo ~hi in
   (answer, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
 
-let query_posting_with_stats t ~lo ~hi =
-  let answer, stats = query_cold t ~lo ~hi in
-  (Answer.to_posting ~n:t.n answer, stats)
-
-let query_posting t ~lo ~hi = fst (query_posting_with_stats t ~lo ~hi)
+let query_posting t ~lo ~hi =
+  Answer.to_posting ~n:t.n (fst (query_cold t ~lo ~hi))
 
 (* COUNT-only query (PR 10): structures with a [count] hook answer
    from their directories alone (the static index reads two A-array

@@ -42,12 +42,6 @@ val query_cold : t -> lo:int -> hi:int -> Answer.t * Iosim.Stats.t
 (** Convenience: materialized positions of a cold query. *)
 val query_posting : t -> lo:int -> hi:int -> Cbitmap.Posting.t
 
-(** Like {!query_posting}, but also returns the stats snapshot
-    {!query_cold} took — callers needing both no longer re-run the
-    query just to read the counters. *)
-val query_posting_with_stats :
-  t -> lo:int -> hi:int -> Cbitmap.Posting.t * Iosim.Stats.t
-
 (** Answer a batch of ranges in one pass: the pool is cleared and the
     counters reset once, then the structure's [batch] hook (or the
     generic {!Batch.run} planner) answers every slot.  Answers are

@@ -43,8 +43,9 @@ val member : string -> int list -> pred
 (** Conjunction of [preds], of the given [kind] (default [Rows]). *)
 val conj : ?kind:kind -> pred list -> query
 
-(** The AST form of a {!Ridint.Table.condition} list — how the seed
-    API's hand-wired conjunctive calls lower onto the planner. *)
+(** The AST form of a {!Ridint.Table.condition} list: one [Range]
+    per condition, so a condition list runs through {!Exec.run} or,
+    normalized, {!Plan.smallest_first}. *)
 val of_conditions : ?kind:kind -> Ridint.Table.condition list -> query
 
 (** [normalize ~sigma_of q] groups predicates by column, clamps every

@@ -93,31 +93,22 @@ let run_scan table n driver steps =
     (fun (s : Plan.step) ->
       match s.action with
       | Plan.Exact_inter ->
-          Metrics.incr m_exact_steps;
           cand := Posting.inter !cand (exact_posting table n s.info)
       | Plan.Prefilter { epsilon; _ } ->
-          Metrics.incr m_prefilter_steps;
           cand := prefilter_posting table ~epsilon s.info !cand;
           (* hashed membership has false positives: re-check at the end *)
           to_verify := (s.info.column, ranges_of s.info) :: !to_verify
       | Plan.Residual ->
-          Metrics.incr m_residual_steps;
           to_verify := (s.info.column, ranges_of s.info) :: !to_verify)
     steps;
   match List.rev !to_verify with
   | [] -> (!cand, 0, 0)
   | checks -> verify table checks !cand
 
-let run ?cost table (query : Ast.query) =
-  let cost = match cost with Some c -> c | None -> Cost.of_table table in
+(* Execute [plan] against the device as it stands; [stats] is the
+   device's counters at the end. *)
+let exec_plan table (plan : Plan.t) =
   let n = Table.rows table in
-  let device = Table.device table in
-  Iosim.Device.clear_pool device;
-  Iosim.Device.reset_stats device;
-  Metrics.incr m_queries;
-  let nq = Ast.normalize ~sigma_of:(Table.col_sigma table) query in
-  let plan = Plan.choose cost table nq in
-  Metrics.incr ~by:plan.considered m_considered;
   let rows_result, count, checked, fp_rejected =
     match plan.shape with
     | Plan.Const_empty -> (Posting.empty, 0, 0, 0)
@@ -125,7 +116,7 @@ let run ?cost table (query : Ast.query) =
         (* No effective predicate: for Rows the full identity posting
            (no device I/O); for Count just n. *)
         let p =
-          match query.kind with
+          match plan.kind with
           | Ast.Count -> Posting.empty
           | Ast.Rows -> Posting.of_sorted_array (Array.init n Fun.id)
         in
@@ -134,27 +125,61 @@ let run ?cost table (query : Ast.query) =
         (* The planning-time A-array probes already answered this:
            disjoint non-adjacent ranges make per-range cardinalities
            additive.  Zero payload bits decoded. *)
-        Metrics.incr m_count_fast;
         (Posting.empty, info.z, 0, 0)
     | Plan.Scan { driver; steps } ->
         let p, checked, fp = run_scan table n driver steps in
         (p, Posting.cardinal p, checked, fp)
   in
-  Metrics.incr ~by:checked m_verified;
-  Metrics.incr ~by:fp_rejected m_fp_rejected;
-  let stats = Iosim.Stats.snapshot (Iosim.Device.stats device) in
-  Metrics.observe_ratio h_io_err ~est:plan.est_ios
-    ~actual:(float_of_int (Iosim.Stats.ios stats));
-  Metrics.observe_ratio h_result_err ~est:plan.est_result
-    ~actual:(float_of_int count);
-  if plan.est_verify > 0.0 || checked > 0 then
-    Metrics.observe_ratio h_verify_err ~est:plan.est_verify
-      ~actual:(float_of_int checked);
   {
-    rows = (match query.kind with Ast.Rows -> Some rows_result | Ast.Count -> None);
+    rows = (match plan.kind with Ast.Rows -> Some rows_result | Ast.Count -> None);
     count;
     plan;
     checked;
     fp_rejected;
-    stats;
+    stats = Iosim.Stats.snapshot (Iosim.Device.stats (Table.device table));
   }
+
+let cold table =
+  let device = Table.device table in
+  Iosim.Device.clear_pool device;
+  Iosim.Device.reset_stats device
+
+let execute table plan =
+  cold table;
+  exec_plan table plan
+
+(* The planner's own account of one run: what it chose, and how far
+   its estimates were from what execution measured. *)
+let observe (out : outcome) =
+  let plan = out.plan in
+  Metrics.incr ~by:plan.considered m_considered;
+  (match plan.shape with
+  | Plan.Count_directory _ -> Metrics.incr m_count_fast
+  | Plan.Scan { steps; _ } ->
+      List.iter
+        (fun (s : Plan.step) ->
+          Metrics.incr
+            (match s.action with
+            | Plan.Exact_inter -> m_exact_steps
+            | Plan.Prefilter _ -> m_prefilter_steps
+            | Plan.Residual -> m_residual_steps))
+        steps
+  | Plan.Const_empty | Plan.All_rows -> ());
+  Metrics.incr ~by:out.checked m_verified;
+  Metrics.incr ~by:out.fp_rejected m_fp_rejected;
+  Metrics.observe_ratio h_io_err ~est:plan.est_ios
+    ~actual:(float_of_int (Iosim.Stats.ios out.stats));
+  Metrics.observe_ratio h_result_err ~est:plan.est_result
+    ~actual:(float_of_int out.count);
+  if plan.est_verify > 0.0 || out.checked > 0 then
+    Metrics.observe_ratio h_verify_err ~est:plan.est_verify
+      ~actual:(float_of_int out.checked)
+
+let run ?cost table (query : Ast.query) =
+  let cost = match cost with Some c -> c | None -> Cost.of_table table in
+  cold table;
+  Metrics.incr m_queries;
+  let nq = Ast.normalize ~sigma_of:(Table.col_sigma table) query in
+  let out = exec_plan table (Plan.choose cost table nq) in
+  observe out;
+  out

@@ -20,10 +20,16 @@ type outcome = {
   stats : Iosim.Stats.t;  (** this query's cold device counters *)
 }
 
-(** Run [query] cold (buffer pool cleared, counters reset — same
-    measurement discipline as {!Ridint.Table.query_with_stats}).
-    [cost] defaults to the uncalibrated {!Cost.of_table}; pass a
-    {!Cost.calibrate}d model for sharper plan choices.  Every run
-    bumps the [planner_*] metrics and feeds the
+(** Run [query] cold: buffer pool cleared and counters reset, then
+    the plan chosen and executed, so [stats] includes the planning
+    probes.  [cost] defaults to the uncalibrated {!Cost.of_table};
+    pass a {!Cost.calibrate}d model for sharper plan choices.  Every
+    run bumps the [planner_*] metrics and feeds the
     [planner_{io,result,verify}_estimate_error] histograms. *)
 val run : ?cost:Cost.t -> Ridint.Table.t -> Ast.query -> outcome
+
+(** Execute a plan built beforehand (e.g. {!Plan.smallest_first}) cold:
+    the pool is cleared and the counters reset first, so [stats] is
+    the execution's alone, without the probes that built the plan.
+    Feeds no [planner_*] metric. *)
+val execute : Ridint.Table.t -> Plan.t -> outcome

@@ -11,7 +11,7 @@ type col_info = { column : string; probes : probe list; z : int }
 
 type action =
   | Exact_inter
-  | Prefilter of { epsilon : float; level : int }
+  | Prefilter of { epsilon : float }
   | Residual
 
 type step = { info : col_info; action : action }
@@ -86,15 +86,15 @@ let col_options cost table info =
       let prefilters =
         List.map
           (fun epsilon ->
-            let io, level =
+            let io =
               List.fold_left
-                (fun (acc, lv) (p : probe) ->
+                (fun acc (p : probe) ->
                   let l = Secidx.Approx_index.level a ~epsilon ~z:p.z in
-                  if l > k then (acc +. Cost.exact_ios cost ~z:p.z, lv)
-                  else (acc +. Cost.prefilter_ios cost ~level:l ~z:p.z, max lv l))
-                (0.0, 0) info.probes
+                  if l > k then acc +. Cost.exact_ios cost ~z:p.z
+                  else acc +. Cost.prefilter_ios cost ~level:l ~z:p.z)
+                0.0 info.probes
             in
-            { action = Prefilter { epsilon; level }; io })
+            { action = Prefilter { epsilon }; io })
           eps_grid
       in
       prefilters @ base
@@ -203,39 +203,38 @@ let enumerate cost table infos kind =
     considered = !considered;
   }
 
+(* A plan whose shape is fixed without weighing costs. *)
+let fixed ?(est_result = 0.0) ?(est_ios = 0.0) kind shape =
+  { shape; kind; est_result; est_verify = 0.0; est_ios; considered = 1 }
+
 let choose cost table (nq : Ast.normal) =
   let kind = nq.kind in
-  if nq.empty then
-    {
-      shape = Const_empty;
-      kind;
-      est_result = 0.0;
-      est_verify = 0.0;
-      est_ios = 0.0;
-      considered = 1;
-    }
+  if nq.empty then fixed kind Const_empty
   else
-    let infos = probe_columns table nq in
-    match (infos, kind) with
+    match (probe_columns table nq, kind) with
     | [], _ ->
-        {
-          shape = All_rows;
-          kind;
-          est_result = float_of_int (Ridint.Table.rows table);
-          est_verify = 0.0;
-          est_ios = 0.0;
-          considered = 1;
-        }
+        fixed kind All_rows
+          ~est_result:(float_of_int (Ridint.Table.rows table))
     | [ info ], Ast.Count ->
-        {
-          shape = Count_directory info;
-          kind;
-          est_result = float_of_int info.z;
-          est_verify = 0.0;
-          est_ios = Cost.probe_ios cost ~ranges:(List.length info.probes);
-          considered = 1;
-        }
+        fixed kind (Count_directory info) ~est_result:(float_of_int info.z)
+          ~est_ios:(Cost.probe_ios cost ~ranges:(List.length info.probes))
     | infos, _ -> enumerate cost table infos kind
+
+let smallest_first ?epsilon table (nq : Ast.normal) =
+  let kind = nq.kind in
+  let action info =
+    match (epsilon, Ridint.Table.col_approx table info.column) with
+    | None, _ -> Exact_inter
+    | Some epsilon, Some _ -> Prefilter { epsilon }
+    | Some _, None -> invalid_arg "Plan.smallest_first: built without approx"
+  in
+  if nq.empty then fixed kind Const_empty
+  else
+    match List.sort (fun a b -> compare a.z b.z) (probe_columns table nq) with
+    | [] -> fixed kind All_rows
+    | driver :: others ->
+        let steps = List.map (fun info -> { info; action = action info }) others in
+        fixed kind (Scan { driver; steps })
 
 let describe t =
   let col info = Printf.sprintf "%s(z=%d)" info.column info.z in

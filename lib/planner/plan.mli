@@ -1,9 +1,9 @@
 (** The cost-based optimizer: from a normalized conjunction to an
     execution plan.
 
-    Replaces Ridint's fixed rule — decode {e every} predicate exactly,
-    intersect smallest-first — with a per-query choice made against
-    {!Cost}:
+    Replaces the fixed rule — decode {e every} predicate exactly,
+    intersect smallest-first, kept as {!smallest_first} for baselines —
+    with a per-query choice made against {!Cost}:
 
     - one column becomes the {b driver}: its answer is decoded exactly
       (via the PR 5 batch substrate when it has several ranges) and
@@ -35,7 +35,7 @@ type col_info = {
 
 type action =
   | Exact_inter
-  | Prefilter of { epsilon : float; level : int }
+  | Prefilter of { epsilon : float }
   | Residual
 
 type step = { info : col_info; action : action }
@@ -67,6 +67,17 @@ val probe_columns : Ridint.Table.t -> Ast.normal -> col_info list
     exhaustively up to 512 combinations per driver and greedily per
     column beyond that. *)
 val choose : Cost.t -> Ridint.Table.t -> Ast.normal -> t
+
+(** The fixed rule as a plan, for baselines: the smallest probed
+    column drives, and every other column is intersected in ascending
+    [z] order — exactly ([Exact_inter]), or through the §3 hashed sets
+    ([Prefilter] at [epsilon]) when [epsilon] is given, with the
+    survivors verified against the stored rows.  Nothing is costed:
+    the estimates are [0] and [considered] is [1].  Probes like
+    {!choose}; {!Exec.execute} leaves those probes out of its counters.
+    Raises [Invalid_argument] when [epsilon] is given and the table
+    has no approximate indexes. *)
+val smallest_first : ?epsilon:float -> Ridint.Table.t -> Ast.normal -> t
 
 (** One-line rendering for bench output and debugging, e.g.
     ["scan driver=age steps=[income:prefilter(0.10) kids:residual]"]. *)

@@ -143,13 +143,13 @@ let read_cell t ic row =
 
 let cell t ~column ~row = read_cell t (find_col t column) row
 
+(* The oracle's check: reads the in-memory column, never the device.
+   Query paths check through {!check_cell_ranges}. *)
 let check_condition t cond row =
   let ic = find_col t cond.column in
   let v = ic.col.values.(row) in
   v >= cond.lo && v <= cond.hi
 
-(* Charged variant of {!check_condition} over a disjoint range list —
-   what the planner's verification step uses. *)
 let check_cell_ranges t ~column ~row ranges =
   let ic = find_col t column in
   let v = read_cell t ic row in
@@ -166,75 +166,6 @@ let naive t conds =
 let answer_condition t cond =
   let ic = find_col t cond.column in
   Secidx.Static_index.query ic.index ~lo:cond.lo ~hi:cond.hi
-
-let query t conds =
-  match conds with
-  | [] -> Cbitmap.Posting.of_sorted_array (Array.init t.nrows Fun.id)
-  | _ ->
-      let answers = List.map (answer_condition t) conds in
-      (* Intersect smallest-first to keep intermediate results small. *)
-      let postings =
-        List.sort
-          (fun a b -> compare (Cbitmap.Posting.cardinal a) (Cbitmap.Posting.cardinal b))
-          (List.map (Indexing.Answer.to_posting ~n:t.nrows) answers)
-      in
-      (match postings with
-      | [] -> Cbitmap.Posting.empty
-      | first :: rest -> List.fold_left Cbitmap.Posting.inter first rest)
-
-let query_approx t ~epsilon conds =
-  match conds with
-  | [] -> (Cbitmap.Posting.of_sorted_array (Array.init t.nrows Fun.id), 0)
-  | _ ->
-      let answers =
-        List.map
-          (fun cond ->
-            let ic = find_col t cond.column in
-            match ic.approx with
-            | Some a -> Secidx.Approx_index.query a ~epsilon ~lo:cond.lo ~hi:cond.hi
-            | None -> invalid_arg "Table.query_approx: built without approx")
-          conds
-      in
-      (* Candidates from the first answer's preimage, filtered by
-         hashed membership in the others; a row surviving all d
-         approximate answers is a false positive with probability at
-         most epsilon^d. *)
-      (match answers with
-      | [] -> (Cbitmap.Posting.empty, 0)
-      | first :: rest ->
-          let candidates =
-            Cbitmap.Posting.fold
-              (fun acc row ->
-                if List.for_all (fun a -> Secidx.Approx_index.mem a row) rest
-                then row :: acc
-                else acc)
-              []
-              (Secidx.Approx_index.candidates first ~n:t.nrows)
-          in
-          let checked = List.length candidates in
-          let verified =
-            List.filter
-              (fun row ->
-                List.for_all (fun cond -> check_condition t cond row) conds)
-              candidates
-          in
-          (Cbitmap.Posting.of_list verified, checked))
-
-(* Per-query device counters (PR 10 satellite): run [f] cold — pool
-   cleared, counters reset — and return its result with the stats of
-   just that run, so per-plan cost comparisons are measurable.  The
-   seed [query]/[query_approx] ran against whatever counter state the
-   caller left behind and discarded the device counters entirely. *)
-let with_stats t f =
-  Iosim.Device.clear_pool t.device;
-  Iosim.Device.reset_stats t.device;
-  let r = f () in
-  (r, Iosim.Stats.snapshot (Iosim.Device.stats t.device))
-
-let query_with_stats t conds = with_stats t (fun () -> query t conds)
-
-let query_approx_with_stats t ~epsilon conds =
-  with_stats t (fun () -> query_approx t ~epsilon conds)
 
 let query_at_least t ~k conds =
   if k <= 0 then invalid_arg "Table.query_at_least";
@@ -296,7 +227,11 @@ let query_at_least_approx t ~epsilon ~k conds =
       (fun row ->
         let sat =
           List.length
-            (List.filter (fun (cond, _) -> check_condition t cond row) answers)
+            (List.filter
+               (fun (cond, _) ->
+                 check_cell_ranges t ~column:cond.column ~row
+                   [ (cond.lo, cond.hi) ])
+               answers)
         in
         sat >= k)
       !candidates

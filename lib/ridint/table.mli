@@ -1,9 +1,14 @@
 (** A column table with one secondary index per attribute — the RID
     intersection application that motivates the paper (§1):
-    conjunctive multi-attribute range queries are answered by
-    intersecting the RID sets returned by the per-attribute
-    one-dimensional indexes, exactly the OLAP pattern ("married men of
-    age 33") the introduction describes. *)
+    conjunctive multi-attribute range queries, the OLAP pattern
+    ("married men of age 33") the introduction describes, are answered
+    by intersecting the RID sets returned by the per-attribute
+    one-dimensional indexes.
+
+    This module is the storage: columns, their indexes, the row heap
+    and cell access, the {!naive} oracle, and the partial-match
+    queries.  Conjunctions run through [Planner.Exec]; the fixed
+    smallest-first rule is [Planner.Plan.smallest_first]. *)
 
 type column = { name : string; sigma : int; values : int array }
 
@@ -53,20 +58,6 @@ type condition = { column : string; lo : int; hi : int }
 (** Scan-based reference answer. *)
 val naive : t -> condition list -> Cbitmap.Posting.t
 
-(** Exact conjunctive query by RID intersection: each condition is
-    answered by its column's index, then the RID sets are intersected
-    smallest-first. *)
-val query : t -> condition list -> Cbitmap.Posting.t
-
-(** Approximate conjunctive query (§3): each condition is answered
-    approximately with false-positive parameter [epsilon]; candidates
-    are intersected via hashed membership, then verified against the
-    stored columns ("false positives can be filtered away when
-    accessing the associated data").  Returns the verified rows and
-    the number of candidate rows that had to be checked. *)
-val query_approx :
-  t -> epsilon:float -> condition list -> Cbitmap.Posting.t * int
-
 (** Partial-match flavour (§1): rows matching at least [k] of the
     conditions. *)
 val query_at_least : t -> k:int -> condition list -> Cbitmap.Posting.t
@@ -97,25 +88,10 @@ val cell : t -> column:string -> row:int -> int
 val check_cell_ranges :
   t -> column:string -> row:int -> (int * int) list -> bool
 
-(** {2 Per-query device counters (PR 10 satellite)}
-
-    Cold variants of {!query} / {!query_approx}: pool cleared and
-    counters reset first, the snapshot of just this query's stats
-    returned — the measurable per-plan costs the seed versions
-    discarded. *)
-
-val query_with_stats :
-  t -> condition list -> Cbitmap.Posting.t * Iosim.Stats.t
-
-val query_approx_with_stats :
-  t ->
-  epsilon:float ->
-  condition list ->
-  (Cbitmap.Posting.t * int) * Iosim.Stats.t
-
 (** Approximate partial match (§1 + §3): rows matching at least [k]
     of the conditions, computed from approximate per-condition answers
-    and verified against the stored columns.  Returns the verified
-    rows and the number of candidates checked. *)
+    and verified through {!check_cell_ranges} — one counted cell read
+    per condition per candidate when the table {!stores_rows}.
+    Returns the verified rows and the number of candidates checked. *)
 val query_at_least_approx :
   t -> epsilon:float -> k:int -> condition list -> Cbitmap.Posting.t * int

@@ -97,6 +97,42 @@ let test_one (name, build) () =
         [ 1; 7; 33 ])
     [ 0; 1; 2; 3 ]
 
+(* COUNT through [Instance.query_count] — the structure's [count] hook
+   where it has one, a full query otherwise — equals the cardinality
+   of the cold query, on the same edge and random ranges. *)
+let test_count (name, build) () =
+  let sigma = 16 in
+  let g = Workload.Gen.zipf ~seed:12 ~n:1024 ~sigma ~theta:1.0 () in
+  let inst = build (device ()) ~sigma g.Workload.Gen.data in
+  let ranges =
+    Array.concat
+      (edge_batch sigma
+      :: List.map (fun seed -> random_batch ~seed ~sigma ~k:33) [ 0; 1 ])
+  in
+  Array.iter
+    (fun (lo, hi) ->
+      let answer, _ = Indexing.Instance.query_cold inst ~lo ~hi in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: count [%d,%d]" name lo hi)
+        (Indexing.Answer.cardinal ~n:inst.Indexing.Instance.n answer)
+        (fst (Indexing.Instance.query_count inst ~lo ~hi)))
+    ranges
+
+(* The static index's hook answers from its directories alone: a
+   whole campaign of counts decodes zero payload phases. *)
+let test_count_zero_payload () =
+  let sigma = 16 in
+  let g = Workload.Gen.zipf ~seed:12 ~n:1024 ~sigma ~theta:1.0 () in
+  let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
+  let payload = Obs.Metrics.counter "phase_payload_total" in
+  let before = Obs.Metrics.counter_value payload in
+  Array.iter
+    (fun (lo, hi) -> ignore (Indexing.Instance.query_count inst ~lo ~hi))
+    (Array.append (edge_batch sigma) (random_batch ~seed:3 ~sigma ~k:33));
+  Alcotest.(check int)
+    "zero payload phases" 0
+    (Obs.Metrics.counter_value payload - before)
+
 (* The planner itself: clamping, dedup order, slot mapping, interval
    merging. *)
 let test_plan () =
@@ -139,9 +175,16 @@ let test_registry_covered () =
 let suite =
   Alcotest.test_case "batch planner" `Quick test_plan
   :: Alcotest.test_case "registry fully covered" `Quick test_registry_covered
-  :: List.map
+  :: Alcotest.test_case "count hook decodes no payload" `Quick
+       test_count_zero_payload
+  :: List.concat_map
        (fun b ->
-         Alcotest.test_case
-           (Printf.sprintf "batch = loop (%s)" (fst b))
-           `Quick (test_one b))
+         [
+           Alcotest.test_case
+             (Printf.sprintf "batch = loop (%s)" (fst b))
+             `Quick (test_one b);
+           Alcotest.test_case
+             (Printf.sprintf "count = cardinal (%s)" (fst b))
+             `Quick (test_count b);
+         ])
        builders

@@ -2,7 +2,7 @@
    the optimizer can pick must produce exactly [Ridint.Table.naive]'s
    answer, COUNT queries must agree with the exact cardinality while
    decoding zero payload bits on the directory fast path, and the
-   per-query stats satellite must not change query results. *)
+   fixed smallest-first rule, run as a plan, must agree with both. *)
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -44,6 +44,13 @@ let naive_rows table (q : Planner.Ast.query) =
     if (not nq.empty) && hit row then acc := row :: !acc
   done;
   Cbitmap.Posting.of_list !acc
+
+(* The fixed smallest-first rule, exact or at [epsilon], run cold. *)
+let fixed_rule ?epsilon t conds =
+  Planner.Ast.of_conditions conds
+  |> Planner.Ast.normalize ~sigma_of:(Ridint.Table.col_sigma t)
+  |> Planner.Plan.smallest_first ?epsilon t
+  |> Planner.Exec.execute t
 
 (* --- normalization --- *)
 
@@ -227,19 +234,21 @@ let test_planner_not_worse_than_baseline () =
       { Ridint.Table.column = "status"; lo = 2; hi = 6 };
     ]
   in
-  let baseline, bstats = Ridint.Table.query_with_stats t conds in
+  let baseline = fixed_rule t conds in
   let out = Planner.Exec.run ~cost t (Planner.Ast.of_conditions conds) in
   Alcotest.(check bool)
     "same rows" true
-    (Cbitmap.Posting.equal baseline (Option.get out.rows));
-  let b = Iosim.Stats.ios bstats and p = Iosim.Stats.ios out.stats in
+    (Cbitmap.Posting.equal (Option.get baseline.rows) (Option.get out.rows));
+  let b = Iosim.Stats.ios baseline.stats and p = Iosim.Stats.ios out.stats in
   if p > b then
     Alcotest.failf "planner used more I/O than baseline: %d > %d (%s)" p b
       (Planner.Plan.describe out.plan)
 
-(* --- per-query stats satellite --- *)
+(* --- the fixed rule as a plan: exact and approximate variants agree
+   with the naive scan, and execution leaves the planning probes out of
+   its counters --- *)
 
-let test_query_with_stats () =
+let test_fixed_rule_plans () =
   let t = mk_table ~variant:`Approx ~seed:9 ~rows:800 in
   let conds =
     [
@@ -247,18 +256,37 @@ let test_query_with_stats () =
       { Ridint.Table.column = "sex"; lo = 0; hi = 0 };
     ]
   in
-  let p1 = Ridint.Table.query t conds in
-  let p2, stats = Ridint.Table.query_with_stats t conds in
-  Alcotest.(check bool) "stats variant same rows" true (Cbitmap.Posting.equal p1 p2);
-  Alcotest.(check bool) "some I/O counted" true (Iosim.Stats.ios stats > 0);
-  let (pa, checked), astats =
-    Ridint.Table.query_approx_with_stats t ~epsilon:0.1 conds
-  in
+  let expect = Ridint.Table.naive t conds in
+  let exact = fixed_rule t conds in
   Alcotest.(check bool)
-    "approx stats variant verifies to exact" true
-    (Cbitmap.Posting.equal p1 pa);
-  Alcotest.(check bool) "candidates counted" true (checked >= Cbitmap.Posting.cardinal pa);
-  Alcotest.(check bool) "approx I/O counted" true (Iosim.Stats.ios astats > 0)
+    "exact rule = naive" true
+    (Cbitmap.Posting.equal (Option.get exact.rows) expect);
+  Alcotest.(check bool) "some I/O counted" true (Iosim.Stats.ios exact.stats > 0);
+  (match exact.plan.shape with
+  | Planner.Plan.Scan { driver; steps } ->
+      Alcotest.(check string) "smallest column drives" "age" driver.column;
+      Alcotest.(check bool)
+        "every other column exact" true
+        (List.for_all
+           (fun (s : Planner.Plan.step) -> s.action = Planner.Plan.Exact_inter)
+           steps)
+  | _ -> Alcotest.fail "expected a scan");
+  let approx = fixed_rule ~epsilon:0.1 t conds in
+  Alcotest.(check bool)
+    "approx rule verifies to naive" true
+    (Cbitmap.Posting.equal (Option.get approx.rows) expect);
+  Alcotest.(check bool) "candidates counted" true (approx.checked >= approx.count);
+  Alcotest.(check bool) "approx I/O counted" true (Iosim.Stats.ios approx.stats > 0);
+  (* [execute] measures the same plan identically every time: the
+     probes that built it are not charged. *)
+  let again = Planner.Exec.execute t exact.plan in
+  Alcotest.(check int)
+    "execute excludes probes" (Iosim.Stats.ios exact.stats)
+    (Iosim.Stats.ios again.stats);
+  Alcotest.check_raises "epsilon needs approximate indexes"
+    (Invalid_argument "Plan.smallest_first: built without approx") (fun () ->
+      let exact_only = mk_table ~variant:`Exact ~seed:9 ~rows:50 in
+      ignore (fixed_rule ~epsilon:0.1 exact_only conds))
 
 let suite =
   [
@@ -269,8 +297,7 @@ let suite =
     Alcotest.test_case "epsilon sweep stays exact" `Quick test_epsilon_sweep;
     Alcotest.test_case "planner not worse than baseline" `Quick
       test_planner_not_worse_than_baseline;
-    Alcotest.test_case "query_with_stats satellites" `Quick
-      test_query_with_stats;
+    Alcotest.test_case "fixed rule as plans" `Quick test_fixed_rule_plans;
     qcheck (prop_planner_matches_naive `Exact "planner = naive (exact table)");
     qcheck
       (prop_planner_matches_naive `Exact_stored_hybrid

@@ -43,14 +43,25 @@ let conditions a_lo a_hi =
     { Ridint.Table.column = "status"; lo = 2; hi = 3 };
   ]
 
+(* The fixed smallest-first rule, exact or at [epsilon], run cold. *)
+let fixed_rule ?epsilon t conds =
+  Planner.Ast.of_conditions conds
+  |> Planner.Ast.normalize ~sigma_of:(Ridint.Table.col_sigma t)
+  |> Planner.Plan.smallest_first ?epsilon t
+  |> Planner.Exec.execute t
+
+let rows_of (out : Planner.Exec.outcome) = Option.get out.rows
+
 let prop_query_matches_naive =
   QCheck.Test.make ~count:60 ~name:"conjunctive query = naive scan" conds_gen
     (fun (seed, rows, a_lo, a_hi) ->
       let t = Ridint.Table.create (device ()) (mk_columns ~seed ~rows) in
       let conds = conditions a_lo a_hi in
-      Cbitmap.Posting.equal
-        (Ridint.Table.query t conds)
-        (Ridint.Table.naive t conds))
+      let expect = Ridint.Table.naive t conds in
+      Cbitmap.Posting.equal (rows_of (fixed_rule t conds)) expect
+      && Cbitmap.Posting.equal
+           (rows_of (Planner.Exec.run t (Planner.Ast.of_conditions conds)))
+           expect)
 
 let prop_approx_verified_equals_naive =
   QCheck.Test.make ~count:30
@@ -61,9 +72,9 @@ let prop_approx_verified_equals_naive =
           (mk_columns ~seed ~rows)
       in
       let conds = conditions a_lo a_hi in
-      let verified, checked = Ridint.Table.query_approx t ~epsilon:0.1 conds in
-      checked >= Cbitmap.Posting.cardinal verified
-      && Cbitmap.Posting.equal verified (Ridint.Table.naive t conds))
+      let out = fixed_rule ~epsilon:0.1 t conds in
+      out.checked >= out.count
+      && Cbitmap.Posting.equal (rows_of out) (Ridint.Table.naive t conds))
 
 let prop_at_least =
   QCheck.Test.make ~count:40 ~name:"at-least-k matches naive counting"
@@ -93,16 +104,25 @@ let prop_at_least =
 
 let test_empty_conditions () =
   let t = Ridint.Table.create (device ()) (mk_columns ~seed:3 ~rows:20) in
-  Alcotest.(check int) "all rows" 20
-    (Cbitmap.Posting.cardinal (Ridint.Table.query t []))
+  let all = Ridint.Table.naive t [] in
+  Alcotest.(check int) "naive: all rows" 20 (Cbitmap.Posting.cardinal all);
+  List.iter
+    (fun (name, out) ->
+      Alcotest.(check bool) name true (Cbitmap.Posting.equal (rows_of out) all))
+    [
+      ("fixed rule: all rows", fixed_rule t []);
+      ("planner: all rows", Planner.Exec.run t (Planner.Ast.of_conditions []));
+    ]
 
 let test_unknown_column () =
   let t = Ridint.Table.create (device ()) (mk_columns ~seed:4 ~rows:10) in
-  Alcotest.check_raises "unknown column"
+  let conds = [ { Ridint.Table.column = "height"; lo = 0; hi = 1 } ] in
+  Alcotest.check_raises "fixed rule: unknown column"
     (Invalid_argument "Table: unknown column height") (fun () ->
-      ignore
-        (Ridint.Table.query t
-           [ { Ridint.Table.column = "height"; lo = 0; hi = 1 } ]))
+      ignore (fixed_rule t conds));
+  Alcotest.check_raises "planner: unknown column"
+    (Invalid_argument "Table: unknown column height") (fun () ->
+      ignore (Planner.Exec.run t (Planner.Ast.of_conditions conds)))
 
 let test_approx_reduces_io () =
   (* The point of §3: intersecting approximate answers reads fewer
@@ -132,15 +152,13 @@ let test_approx_reduces_io () =
       { Ridint.Table.column = "b"; lo = 200; hi = 200 };
     ]
   in
-  Iosim.Device.clear_pool dev;
-  Iosim.Device.reset_stats dev;
-  let exact = Ridint.Table.query t conds in
-  let exact_bits = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-  Iosim.Device.clear_pool dev;
-  Iosim.Device.reset_stats dev;
-  let approx, _ = Ridint.Table.query_approx t ~epsilon:0.1 conds in
-  let approx_bits = (Iosim.Device.stats dev).Iosim.Stats.bits_read in
-  Alcotest.(check bool) "same answer" true (Cbitmap.Posting.equal exact approx);
+  let exact = fixed_rule t conds in
+  let approx = fixed_rule ~epsilon:0.1 t conds in
+  let exact_bits = exact.stats.Iosim.Stats.bits_read
+  and approx_bits = approx.stats.Iosim.Stats.bits_read in
+  Alcotest.(check bool)
+    "same answer" true
+    (Cbitmap.Posting.equal (rows_of exact) (rows_of approx));
   if not (approx_bits < exact_bits) then
     Alcotest.failf "approx read more: %d vs %d bits" approx_bits exact_bits
 
@@ -171,5 +189,42 @@ let prop_at_least_approx =
       checked >= Cbitmap.Posting.cardinal approx
       && Cbitmap.Posting.equal exact approx)
 
+(* Verification of approximate partial-match candidates reads the
+   stored row: on the same data, the stored-rows table pays at least
+   one field read per condition per checked candidate beyond the
+   in-memory table, and the answers agree. *)
+let test_at_least_approx_charges_verification () =
+  let cols = mk_columns ~seed:31 ~rows:600 in
+  let conds = conditions 10 40 in
+  let run store_rows =
+    let dev = device ~mem_blocks:0 () in
+    let t = Ridint.Table.create_approx ~seed:32 ~store_rows dev cols in
+    Iosim.Device.clear_pool dev;
+    Iosim.Device.reset_stats dev;
+    let rows, checked =
+      Ridint.Table.query_at_least_approx t ~epsilon:0.2 ~k:2 conds
+    in
+    (rows, checked, (Iosim.Device.stats dev).Iosim.Stats.bits_read, t)
+  in
+  let mem_rows, mem_checked, mem_bits, _ = run false in
+  let rows, checked, bits, t = run true in
+  Alcotest.(check bool) "same answer" true (Cbitmap.Posting.equal mem_rows rows);
+  Alcotest.(check int) "same candidates" mem_checked checked;
+  Alcotest.(check bool) "some candidates" true (checked > 0);
+  let field_bits =
+    List.fold_left
+      (fun acc (c : Ridint.Table.condition) ->
+        acc + Indexing.Common.bits_for (max 2 (Ridint.Table.col_sigma t c.column)))
+      0 conds
+  in
+  if bits - mem_bits < checked * field_bits then
+    Alcotest.failf "verification not charged: %d - %d bits < %d candidates x %d"
+      bits mem_bits checked field_bits
+
 let suite =
-  suite @ [ qcheck prop_at_least_approx ]
+  suite
+  @ [
+      qcheck prop_at_least_approx;
+      Alcotest.test_case "charged at-least-k verification"
+        `Quick test_at_least_approx_charges_verification;
+    ]
