@@ -71,7 +71,7 @@ let decode_into ?(code = Gamma) ?(last = -1) d ~count out =
 let decode ?code d ~count =
   let out = Array.make count 0 in
   decode_into ?code d ~count out;
-  Posting.of_sorted_array out
+  Posting.adopt_sorted_array out
 
 let stream_from ?(code = Gamma) d ~count ~last =
   let remaining = ref count in
@@ -109,7 +109,7 @@ let decode_ref ?(code = Gamma) r ~count =
     out.(i) <- p;
     last := p
   done;
-  Posting.of_sorted_array out
+  Posting.adopt_sorted_array out
 
 let stream_from_ref ?(code = Gamma) r ~count ~last =
   let remaining = ref count in

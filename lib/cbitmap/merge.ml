@@ -12,65 +12,24 @@ let of_array a =
 
 let of_posting p = of_array (Posting.to_array p)
 
-(* Min-heap of (value, stream index). *)
-type heap = { mutable data : (int * int) array; mutable size : int }
-
-let heap_create cap = { data = Array.make (max 1 cap) (0, 0); size = 0 }
-
-let heap_swap h i j =
-  let tmp = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- tmp
-
-let rec heap_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if fst h.data.(i) < fst h.data.(parent) then begin
-      heap_swap h i parent;
-      heap_up h parent
-    end
-  end
-
-let rec heap_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-  if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    heap_swap h i !smallest;
-    heap_down h !smallest
-  end
-
-let heap_push h v =
-  if h.size = Array.length h.data then begin
-    let data = Array.make (2 * h.size) (0, 0) in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end;
-  h.data.(h.size) <- v;
-  h.size <- h.size + 1;
-  heap_up h (h.size - 1)
-
-let heap_pop h =
-  let top = h.data.(0) in
-  h.size <- h.size - 1;
-  h.data.(0) <- h.data.(h.size);
-  heap_down h 0;
-  top
-
 let union streams =
   let streams = Array.of_list streams in
-  let heap = heap_create (Array.length streams) in
+  let heap = Kheap.create (Array.length streams) in
   Array.iteri
-    (fun i s -> match s () with Some v -> heap_push heap (v, i) | None -> ())
+    (fun i s ->
+      match s () with Some v -> Kheap.push heap ~key:v ~src:i | None -> ())
     streams;
   let last = ref (-1) in
+  (* Pop, then pull the popped stream and push: the heap evolves as
+     it always has, so streams are pulled — and their decodes charged
+     to the device — in the same order even among equal heads. *)
   let rec next () =
-    if heap.size = 0 then None
+    if Kheap.size heap = 0 then None
     else begin
-      let v, i = heap_pop heap in
+      let v = Kheap.top_key heap and i = Kheap.top_src heap in
+      Kheap.pop heap;
       (match streams.(i) () with
-      | Some v' -> heap_push heap (v', i)
+      | Some v' -> Kheap.push heap ~key:v' ~src:i
       | None -> ());
       if v = !last then next ()
       else begin
@@ -81,17 +40,26 @@ let union streams =
   in
   next
 
+(* Drain into a growable int buffer handed over without a copy when
+   it ends exactly full. *)
 let to_posting s =
-  let acc = ref [] in
+  let buf = ref (Array.make 64 0) and n = ref 0 in
   let rec go () =
     match s () with
     | Some v ->
-        acc := v :: !acc;
+        if !n = Array.length !buf then begin
+          let grown = Array.make (2 * !n) 0 in
+          Array.blit !buf 0 grown 0 !n;
+          buf := grown
+        end;
+        Array.unsafe_set !buf !n v;
+        incr n;
         go ()
     | None -> ()
   in
   go ();
-  Posting.of_sorted_array (Array.of_list (List.rev !acc))
+  Posting.adopt_sorted_array
+    (if !n = Array.length !buf then !buf else Array.sub !buf 0 !n)
 
 let union_to_posting ss = to_posting (union ss)
 

@@ -2,14 +2,22 @@ type t = int array
 
 let empty = [||]
 
+(* Non-negative and strictly increasing, checked in one scan. *)
+let validate name a =
+  for i = 0 to Array.length a - 1 do
+    let v = a.(i) in
+    if v < 0 then invalid_arg (name ^ ": negative");
+    if i > 0 && a.(i - 1) >= v then
+      invalid_arg (name ^ ": not strictly increasing")
+  done
+
 let of_sorted_array a =
-  Array.iteri
-    (fun i v ->
-      if v < 0 then invalid_arg "Posting.of_sorted_array: negative";
-      if i > 0 && a.(i - 1) >= v then
-        invalid_arg "Posting.of_sorted_array: not strictly increasing")
-    a;
+  validate "Posting.of_sorted_array" a;
   Array.copy a
+
+let adopt_sorted_array a =
+  validate "Posting.adopt_sorted_array" a;
+  a
 
 let of_list l =
   let a = Array.of_list l in
@@ -128,95 +136,55 @@ let diff a b =
   done;
   Array.sub out 0 !k
 
-let complement ~n t =
-  let out = Array.make (n - Array.length t) 0 in
-  let k = ref 0 and j = ref 0 in
-  for v = 0 to n - 1 do
-    if !j < Array.length t && t.(!j) = v then incr j
-    else begin
-      out.(!k) <- v;
-      incr k
-    end
-  done;
-  if !k <> Array.length out then
+(* Fill the gaps between consecutive excluded elements. *)
+let complement_shifted ~n ~base t =
+  let m = Array.length t in
+  if m > 0 && t.(m - 1) >= n then
     invalid_arg "Posting.complement: elements outside [0;n)";
+  let out = Array.make (n - m) 0 in
+  let k = ref 0 and from = ref 0 in
+  for j = 0 to m do
+    let stop = if j < m then t.(j) else n in
+    for v = !from to stop - 1 do
+      out.(!k) <- v + base;
+      incr k
+    done;
+    from := stop + 1
+  done;
   out
 
-(* Binary min-heap of (value, source index) used for k-way merge. *)
-module Heap = struct
-  type t = { mutable data : (int * int) array; mutable size : int }
-
-  let create cap = { data = Array.make (max 1 cap) (0, 0); size = 0 }
-
-  let swap h i j =
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- tmp
-
-  let rec up h i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if fst h.data.(i) < fst h.data.(parent) then begin
-        swap h i parent;
-        up h parent
-      end
-    end
-
-  let rec down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.size && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-    if r < h.size && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      down h !smallest
-    end
-
-  let push h v =
-    if h.size = Array.length h.data then begin
-      let data = Array.make (2 * h.size) (0, 0) in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
-    h.data.(h.size) <- v;
-    h.size <- h.size + 1;
-    up h (h.size - 1)
-
-  let pop h =
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    down h 0;
-    top
-
-  let is_empty h = h.size = 0
-end
+let complement ~n t = complement_shifted ~n ~base:0 t
 
 let union_many lists =
-  let lists = Array.of_list lists in
-  let k = Array.length lists in
-  if k = 0 then empty
-  else begin
-    let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 lists in
-    let out = Array.make total 0 in
-    let heap = Heap.create k in
-    let idx = Array.make k 0 in
-    Array.iteri
-      (fun s a -> if Array.length a > 0 then Heap.push heap (a.(0), s))
-      lists;
-    let m = ref 0 in
-    while not (Heap.is_empty heap) do
-      let v, s = Heap.pop heap in
-      if !m = 0 || out.(!m - 1) <> v then begin
-        out.(!m) <- v;
-        incr m
-      end;
-      idx.(s) <- idx.(s) + 1;
-      if idx.(s) < Array.length lists.(s) then
-        Heap.push heap (lists.(s).(idx.(s)), s)
-    done;
-    Array.sub out 0 !m
-  end
+  let inputs =
+    Array.of_list (List.filter (fun a -> Array.length a > 0) lists)
+  in
+  match Array.length inputs with
+  | 0 -> empty
+  | 1 -> inputs.(0)
+  | k ->
+      let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 inputs in
+      let out = Array.make total 0 in
+      let heap = Kheap.create k in
+      (* [next.(s)]: index of the first element of input [s] not yet in
+         the heap. *)
+      let next = Array.make k 1 in
+      Array.iteri (fun s a -> Kheap.push heap ~key:a.(0) ~src:s) inputs;
+      let m = ref 0 in
+      while Kheap.size heap > 0 do
+        let v = Kheap.top_key heap and s = Kheap.top_src heap in
+        if !m = 0 || out.(!m - 1) <> v then begin
+          out.(!m) <- v;
+          incr m
+        end;
+        let a = inputs.(s) and i = next.(s) in
+        if i < Array.length a then begin
+          next.(s) <- i + 1;
+          Kheap.replace_top heap ~key:a.(i)
+        end
+        else Kheap.pop heap
+      done;
+      if !m = total then out else Array.sub out 0 !m
 
 let iter = Array.iter
 let fold = Array.fold_left

@@ -17,6 +17,12 @@ val of_list : int list -> t
     copied. *)
 val of_sorted_array : int array -> t
 
+(** [adopt_sorted_array a] makes the same checks as {!of_sorted_array}
+    but takes ownership of [a] instead of copying it: the caller must
+    not mutate [a] afterwards.  For decoders and merges that fill a
+    fresh array and hand it over, so each answer is allocated once. *)
+val adopt_sorted_array : int array -> t
+
 (** Positions of set bits of [s], where [s.[i] = '1']. *)
 val of_bitstring : string -> t
 
@@ -38,10 +44,20 @@ val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 
-(** [complement ~n t] is [{0..n-1} \ t]. *)
+(** [complement ~n t] is [{0..n-1} \ t].  Raises [Invalid_argument]
+    if [t] has elements outside [\[0;n)]. *)
 val complement : n:int -> t -> t
 
-(** Multi-way union (heap-based k-way merge). *)
+(** [complement_shifted ~n ~base t] is [complement ~n t] as a fresh
+    array with [base] added to every element, built in the same scan. *)
+val complement_shifted : n:int -> base:int -> t -> int array
+
+(** Multi-way union: a k-way merge over the non-empty inputs, with
+    its heap in two int arrays (no allocation per element).  Empty
+    inputs are skipped; with no non-empty input the result is
+    {!empty}, and a sole non-empty input is returned as it is (no
+    copy).  Otherwise the output array is allocated once and trimmed
+    only when the inputs overlap. *)
 val union_many : t list -> t
 
 val iter : (int -> unit) -> t -> unit

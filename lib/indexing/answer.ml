@@ -4,6 +4,15 @@ let to_posting ~n = function
   | Direct p -> p
   | Complement p -> Cbitmap.Posting.complement ~n p
 
+let to_shifted_array ~n ~base = function
+  | Direct p ->
+      let out = Array.make (Cbitmap.Posting.cardinal p) 0 in
+      for i = 0 to Array.length out - 1 do
+        out.(i) <- Cbitmap.Posting.get p i + base
+      done;
+      out
+  | Complement p -> Cbitmap.Posting.complement_shifted ~n ~base p
+
 let cardinal ~n = function
   | Direct p -> Cbitmap.Posting.cardinal p
   | Complement p -> n - Cbitmap.Posting.cardinal p

@@ -13,6 +13,13 @@ type t = Direct of Cbitmap.Posting.t | Complement of Cbitmap.Posting.t
     compressed output). *)
 val to_posting : n:int -> t -> Cbitmap.Posting.t
 
+(** [to_shifted_array ~n ~base a] is [to_posting ~n a] as a fresh
+    array with [base] added to every position, built in one scan (a
+    [Complement] is complemented and shifted together).  Raises
+    [Invalid_argument] if a [Complement] holds elements outside
+    [\[0;n)]. *)
+val to_shifted_array : n:int -> base:int -> t -> int array
+
 (** Cardinality of the answer set. *)
 val cardinal : n:int -> t -> int
 

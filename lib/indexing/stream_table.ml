@@ -115,6 +115,16 @@ let dir_entry t i =
     Secidx_error.corrupt
       "Stream_table: directory entry %d points at %d, past payload end %d" i
       off t.payload.Iosim.Device.len;
+  (* Every gap codeword is at least one bit, so a gap stream cannot
+     hold more elements than the payload bits left after its offset;
+     a larger count would decode on into the next extent.  Containers
+     can hold more elements than bits, so [Hybrid] is exempt. *)
+  (match t.layout with
+  | Gap when count > t.payload.Iosim.Device.len - off ->
+      Secidx_error.corrupt
+        "Stream_table: directory entry %d counts %d elements in %d bits" i
+        count (t.payload.Iosim.Device.len - off)
+  | Gap | Hybrid _ -> ());
   (off, count)
 
 let count t i = snd (dir_entry t i)
@@ -145,13 +155,24 @@ let stream_of_entry t (off, count) =
 
 (* Phase spans: directory entries are decoded eagerly (the "directory"
    phase); the payload streams decode lazily inside the merge, so the
-   merge span carries the "payload" decode I/O. *)
+   merge span carries the "payload" decode I/O.
+
+   A single [Gap] stream on the word decoder decodes in bulk straight
+   into one [count]-sized array ([Gap_codec.decode]): the same
+   codewords through the same decoder calls as the pull stream, so
+   the device is charged identically, without boxing each position. *)
 let read_one t i =
-  let entry =
+  let ((off, count) as entry) =
     Obs.Metrics.phase "directory" (fun () -> dir_entry t i)
   in
   Obs.Metrics.phase "payload" (fun () ->
-      Cbitmap.Merge.to_posting (stream_of_entry t entry))
+      match t.layout with
+      | Gap when not t.ctx.Context.reference_decode ->
+          let d =
+            Iosim.Device.decoder t.device ~pos:(t.payload.Iosim.Device.off + off)
+          in
+          Cbitmap.Gap_codec.decode ~code:t.code d ~count
+      | Gap | Hybrid _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
 
 let streams t ~lo ~hi =
   if lo < 0 || hi >= t.nstreams || lo > hi then

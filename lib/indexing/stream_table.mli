@@ -46,7 +46,12 @@ val device : t -> Iosim.Device.t
     (counted I/O). *)
 val count : t -> int -> int
 
-(** Decode stream [i] (counted I/O: directory + stream bits). *)
+(** Decode stream [i] (counted I/O: directory + stream bits).  A
+    [Gap] stream on the word decoder decodes in bulk into one array;
+    the device charges equal those of draining {!streams}[ ~lo:i ~hi:i].
+    Raises [Secidx_error.Corrupt] when the directory entry points past
+    the payload or, for [Gap], counts more elements than the payload
+    bits left after its offset. *)
 val read_one : t -> int -> Cbitmap.Posting.t
 
 (** Union of streams [lo..hi] via k-way merge over cursors; the

@@ -158,7 +158,14 @@ let now () = !clock ()
 
 let time h f =
   let t0 = now () in
-  Fun.protect ~finally:(fun () -> observe h (max 0.0 (now () -. t0))) f
+  match f () with
+  | v ->
+      observe h (max 0.0 (now () -. t0));
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      observe h (max 0.0 (now () -. t0));
+      Printexc.raise_with_backtrace e bt
 
 (* --- phase spans --- *)
 

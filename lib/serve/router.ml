@@ -118,20 +118,25 @@ let create ?(mode = Sequential) shards =
 let domains_used t =
   match t.mode with Sequential -> 1 | Domains -> Array.length t.workers
 
-(* Rows from each shard, in shard order, one row list per batch slot;
-   concatenation of disjoint ordered slices needs no sort or dedup. *)
-let merge_slot parts =
-  let total = List.fold_left (fun a p -> a + Array.length p) 0 parts in
+(* Slot [j]'s rows from each shard, in shard order: concatenation of
+   disjoint ordered slices needs no sort or dedup.  The merged array is
+   allocated once and handed to [adopt_sorted_array], which
+   re-validates strict monotonicity over the whole result in place — a
+   cheap check that the slices really were disjoint — without a second
+   copy. *)
+let merge_slot per_shard j =
+  let total =
+    Array.fold_left (fun a rows -> a + Array.length rows.(j)) 0 per_shard
+  in
   let out = Array.make total 0 in
   let off = ref 0 in
-  List.iter
-    (fun p ->
+  Array.iter
+    (fun rows ->
+      let p = rows.(j) in
       Array.blit p 0 out !off (Array.length p);
       off := !off + Array.length p)
-    parts;
-  (* [of_sorted_array] re-validates strict monotonicity — a cheap
-     full-result check that the slices really were disjoint. *)
-  Cbitmap.Posting.of_sorted_array out
+    per_shard;
+  Cbitmap.Posting.adopt_sorted_array out
 
 let query_batch t ranges =
   if not t.live then invalid_arg "Router.query_batch: after shutdown";
@@ -161,11 +166,7 @@ let query_batch t ranges =
               | None -> assert false (* latch counted every worker *))
             slots
     in
-    Array.init nq (fun j ->
-        merge_slot
-          (List.filter_map
-             (fun rows -> if Array.length rows = 0 then None else Some rows.(j))
-             (Array.to_list per_shard)))
+    Array.init nq (merge_slot per_shard)
   end
 
 let query t ~lo ~hi = (query_batch t [| (lo, hi) |]).(0)

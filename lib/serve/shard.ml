@@ -61,8 +61,8 @@ let stats t =
   | None -> Iosim.Stats.create ()
   | Some d -> Iosim.Stats.snapshot (Iosim.Device.stats d)
 
-(* Answer a batch on this shard: local warm batch, then shift each
-   materialized answer to global positions.  The result rows are fresh
+(* Answer a batch on this shard: local warm batch, then materialize
+   each answer at global positions in one scan.  The result rows are fresh
    arrays, safe to publish across domains once a happens-before edge
    exists (the router's countdown latch provides it). *)
 let run_batch t ranges =
@@ -72,15 +72,9 @@ let run_batch t ranges =
       let work () =
         Obs.Metrics.incr m_batches;
         Obs.Metrics.time m_service_seconds (fun () ->
-            let answers = Indexing.Instance.query_batch_warm inst ranges in
             Array.map
-              (fun a ->
-                let local =
-                  Cbitmap.Posting.to_array
-                    (Indexing.Answer.to_posting ~n:t.len a)
-                in
-                Array.map (fun p -> p + t.base) local)
-              answers)
+              (Indexing.Answer.to_shifted_array ~n:t.len ~base:t.base)
+              (Indexing.Instance.query_batch_warm inst ranges))
       in
       (* The span is emitted from the calling domain — a router worker
          in [Domains] mode — so shard batches land on their own tid

@@ -39,6 +39,67 @@ let test_posting_of_sorted_array_rejects () =
     "Posting.of_sorted_array: not strictly increasing") (fun () ->
       ignore (Cbitmap.Posting.of_sorted_array [| 1; 1 |]))
 
+(* [adopt_sorted_array] accepts and rejects exactly what
+   [of_sorted_array] does; only the copy differs. *)
+let prop_adopt_same_checks =
+  QCheck.Test.make ~count:300
+    ~name:"adopt_sorted_array checks = of_sorted_array checks"
+    QCheck.(array_of_size (Gen.int_range 0 8) (int_range (-3) 12))
+    (fun a ->
+      let outcome f =
+        match f (Array.copy a) with
+        | p -> Some (Cbitmap.Posting.to_list p)
+        | exception Invalid_argument _ -> None
+      in
+      outcome Cbitmap.Posting.of_sorted_array
+      = outcome Cbitmap.Posting.adopt_sorted_array)
+
+let test_adopt_sorted_array () =
+  let rejects name a =
+    Alcotest.(check bool) name true
+      (match Cbitmap.Posting.adopt_sorted_array a with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "negative" [| -1; 2 |];
+  rejects "negative later" [| 0; 2; -5 |];
+  rejects "repeated" [| 1; 1 |];
+  rejects "decreasing" [| 4; 2 |];
+  Alcotest.(check (list int)) "accepts" [ 0; 2; 5 ]
+    (Cbitmap.Posting.to_list (Cbitmap.Posting.adopt_sorted_array [| 0; 2; 5 |]));
+  Alcotest.(check (list int)) "empty" []
+    (Cbitmap.Posting.to_list (Cbitmap.Posting.adopt_sorted_array [||]))
+
+let test_union_many_edges () =
+  let u ls =
+    Cbitmap.Posting.to_list (Cbitmap.Posting.union_many (List.map posting ls))
+  in
+  Alcotest.(check (list int)) "k = 0" [] (u []);
+  Alcotest.(check (list int)) "k = 1" [ 1; 4; 9 ] (u [ [ 1; 4; 9 ] ]);
+  Alcotest.(check (list int)) "only empties" [] (u [ []; [] ]);
+  Alcotest.(check (list int)) "sole non-empty" [ 2; 3 ] (u [ []; [ 2; 3 ]; [] ]);
+  Alcotest.(check (list int)) "overlapping" [ 0; 1; 2; 3; 5; 8 ]
+    (u [ [ 1; 3; 5 ]; []; [ 0; 1; 8 ]; [ 2; 3; 5 ] ]);
+  Alcotest.(check (list int)) "identical" [ 1; 2 ]
+    (u [ [ 1; 2 ]; [ 1; 2 ]; [ 1; 2 ] ]);
+  let p = posting [ 7; 11 ] in
+  Alcotest.(check bool) "sole input returned as is" true
+    (Cbitmap.Posting.union_many [ Cbitmap.Posting.empty; p ] == p)
+
+(* Small universe and forced empty members: heavy overlap and skipped
+   inputs, against the folded two-way union. *)
+let prop_union_many_overlap =
+  QCheck.Test.make ~count:300 ~name:"union_many = folded union (overlap, empties)"
+    QCheck.(
+      list_of_size (Gen.int_range 0 8)
+        (option (list_of_size (Gen.int_range 0 12) (int_range 0 20))))
+    (fun lists ->
+      let ps = List.map (function None -> [] | Some l -> l) lists in
+      let ps = List.map posting ps in
+      Cbitmap.Posting.equal
+        (Cbitmap.Posting.union_many ps)
+        (List.fold_left Cbitmap.Posting.union Cbitmap.Posting.empty ps))
+
 let prop_setops name op set_op =
   QCheck.Test.make ~count:200 ~name (QCheck.pair sorted_gen sorted_gen)
     (fun (xs, ys) ->
@@ -313,6 +374,10 @@ let suite =
     Alcotest.test_case "filter_range" `Quick test_posting_filter_range;
     Alcotest.test_case "of_sorted_array validation" `Quick
       test_posting_of_sorted_array_rejects;
+    qcheck prop_adopt_same_checks;
+    Alcotest.test_case "adopt_sorted_array" `Quick test_adopt_sorted_array;
+    Alcotest.test_case "union_many edge cases" `Quick test_union_many_edges;
+    qcheck prop_union_many_overlap;
     qcheck prop_union;
     qcheck prop_inter;
     qcheck prop_diff;

@@ -266,6 +266,49 @@ let prop_flips_never_silently_wrong =
             [ (0, sigma - 1); (sigma / 2, sigma - 1); (0, 0) ])
         all_builders)
 
+(* A [Gap] directory count larger than the payload bits left after
+   the entry's offset would decode on into the next extent; both
+   readers refuse it with a typed error.  Hybrid containers can hold
+   more elements than bits and are exempt from the bound. *)
+let test_gap_count_past_payload () =
+  let dev = device () in
+  let big = Cbitmap.Posting.of_list (List.init 40 (fun i -> 3 * i)) in
+  (* Stream 1 is {0}: one one-bit gamma codeword at the payload's end. *)
+  let tab =
+    Indexing.Stream_table.build dev [| big; Cbitmap.Posting.of_list [ 0 ] |]
+  in
+  let dir, payload =
+    match Indexing.Stream_table.frames tab with
+    | [ d; p ] -> (Iosim.Frame.payload d, Iosim.Frame.payload p)
+    | _ -> Alcotest.fail "two frames"
+  in
+  let off_bits = Indexing.Common.bits_for (payload.Iosim.Device.len + 1) in
+  let count_bits = Indexing.Common.bits_for (40 + 1) in
+  let entry_bits = off_bits + count_bits in
+  Alcotest.(check int) "directory layout" (2 * entry_bits) dir.Iosim.Device.len;
+  Alcotest.(check int) "count before" 1 (Indexing.Stream_table.count tab 1);
+  Iosim.Device.write_bits dev
+    ~pos:(dir.Iosim.Device.off + entry_bits + off_bits)
+    ~width:count_bits 2;
+  Alcotest.(check bool) "read_one" true
+    (raises_corrupt (fun () -> Indexing.Stream_table.read_one tab 1));
+  Alcotest.(check bool) "streams" true
+    (raises_corrupt (fun () -> Indexing.Stream_table.streams tab ~lo:1 ~hi:1));
+  Alcotest.(check bool) "streams over the range" true
+    (raises_corrupt (fun () -> Indexing.Stream_table.streams tab ~lo:0 ~hi:1));
+  Alcotest.(check bool) "untouched entry still reads" true
+    (Cbitmap.Posting.equal big (Indexing.Stream_table.read_one tab 0));
+  let dense = Cbitmap.Posting.of_list (List.init 1000 Fun.id) in
+  let hybrid =
+    Indexing.Stream_table.build
+      ~layout:(Indexing.Stream_table.Hybrid { universe = 1024; chunk = 1024 })
+      (device ()) [| dense |]
+  in
+  Alcotest.(check bool) "hybrid holds more elements than bits" true
+    (Indexing.Stream_table.payload_bits hybrid < 1000);
+  Alcotest.(check bool) "hybrid exempt" true
+    (Cbitmap.Posting.equal dense (Indexing.Stream_table.read_one hybrid 0))
+
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc_vector;
@@ -275,6 +318,8 @@ let suite =
       test_frame_seal_from_image;
     Alcotest.test_case "stale decoder refused" `Quick test_stale_decoder;
     Alcotest.test_case "decode budgets" `Quick test_decode_budgets;
+    Alcotest.test_case "gap count past payload end" `Quick
+      test_gap_count_past_payload;
     Alcotest.test_case "torn write" `Quick test_torn_write;
     Alcotest.test_case "transient read retry" `Quick
       test_transient_read_retry;

@@ -619,7 +619,79 @@ let test_theorem2_trace_codec_parity () =
       Alcotest.(check int) "answer cardinality" c1 c2;
       Alcotest.(check int) "block_reads" br1 br2;
       Alcotest.(check int) "bits_read" bits1 bits2)
-    before after
+    before after;
+  (* The batch path decodes each stream through [Stream_table.read_one]
+     — in bulk on the word decoder, streamed on the reference path. *)
+  let run_batch reference =
+    let dev = device ~block_bits:512 ~mem_bits:(16 * 512) () in
+    let inst = Secidx.Static_index.instance dev ~sigma data in
+    Indexing.Instance.set_reference_decode inst reference;
+    let answers, st =
+      Indexing.Instance.query_batch inst (Array.of_list queries)
+    in
+    ( Array.map
+        (fun a ->
+          Cbitmap.Posting.to_list (Indexing.Answer.to_posting ~n a))
+        answers,
+      st.Iosim.Stats.block_reads,
+      st.Iosim.Stats.bits_read )
+  in
+  let a1, br1, bits1 = run_batch true and a2, br2, bits2 = run_batch false in
+  Alcotest.(check (array (list int))) "batch answers" a1 a2;
+  Alcotest.(check int) "batch block_reads" br1 br2;
+  Alcotest.(check int) "batch bits_read" bits1 bits2
+
+(* [read_one]'s bulk decode charges the device exactly what draining
+   the same stream through [Merge.to_posting] charges: two identical
+   pooled tables, one read each way, stream by stream, must agree on
+   every counter delta (reads, pool hits, seeks, bits) — under every
+   gap code.  The pool is small, so any change in the order of block
+   touches would show as a different hit/miss pattern. *)
+let test_bulk_decode_charge_parity () =
+  let postings =
+    Array.init 14 (fun c ->
+        if c mod 5 = 3 then Cbitmap.Posting.empty
+        else
+          Cbitmap.Posting.of_list
+            (List.init (3 + (9 * c)) (fun i -> (i * (c + 2)) + (c * c))))
+  in
+  List.iter
+    (fun (name, code) ->
+      let table () =
+        Indexing.Stream_table.build ~code
+          (device ~block_bits:128 ~mem_bits:(3 * 128) ())
+          postings
+      in
+      let bulk = table () and streamed = table () in
+      let measure tab f =
+        let st = Iosim.Device.stats (Indexing.Stream_table.device tab) in
+        let before = Iosim.Stats.snapshot st in
+        let p = f () in
+        (p, Iosim.Stats.diff ~before ~after:(Iosim.Stats.snapshot st))
+      in
+      Array.iteri
+        (fun i expected ->
+          let p1, d1 =
+            measure bulk (fun () -> Indexing.Stream_table.read_one bulk i)
+          in
+          let p2, d2 =
+            measure streamed (fun () ->
+                match Indexing.Stream_table.streams streamed ~lo:i ~hi:i with
+                | [ s ] -> Cbitmap.Merge.to_posting s
+                | _ -> Alcotest.fail "one stream per index")
+          in
+          let what = Printf.sprintf "%s stream %d" name i in
+          Alcotest.(check bool) (what ^ ": posting") true
+            (Cbitmap.Posting.equal p1 expected && Cbitmap.Posting.equal p2 expected);
+          Alcotest.(check bool) (what ^ ": stats delta") true
+            (Iosim.Stats.equal d1 d2))
+        postings)
+    [
+      ("gamma", Cbitmap.Gap_codec.Gamma);
+      ("delta", Cbitmap.Gap_codec.Delta);
+      ("rice3", Cbitmap.Gap_codec.Rice 3);
+      ("fibonacci", Cbitmap.Gap_codec.Fibonacci);
+    ]
 
 let test_model_sanity () =
   (* The model itself reproduces a seed-era hand-check
@@ -687,6 +759,8 @@ let suite =
       test_decoder_gamma_charges_like_cursor;
     Alcotest.test_case "theorem 2 trace: codec rewrite stats parity" `Quick
       test_theorem2_trace_codec_parity;
+    Alcotest.test_case "bulk stream decode charges like the streamed decode"
+      `Quick test_bulk_decode_charge_parity;
     Alcotest.test_case "blocks spanned" `Quick test_blocks_spanned;
     Alcotest.test_case "stats diff" `Quick test_stats_diff;
     qcheck prop_device_roundtrip;

@@ -459,6 +459,20 @@ let test_metrics_hammer () =
   Alcotest.(check int) "histogram total exact" (doms * per_dom)
     (Obs.Histogram.count (Obs.Metrics.snapshot h))
 
+(* [time] observes once on the normal path and once on the raising
+   path, and re-raises the very exception [f] raised. *)
+let test_metrics_time_raises () =
+  let h = Obs.Metrics.histogram "test_time_raises_seconds" in
+  let count () = Obs.Histogram.count (Obs.Metrics.snapshot h) in
+  let c0 = count () in
+  Alcotest.(check int) "returns" 7 (Obs.Metrics.time h (fun () -> 7));
+  Alcotest.(check int) "normal path observed" (c0 + 1) (count ());
+  let boom = Failure "boom" in
+  (match Obs.Metrics.time h (fun () -> raise boom) with
+  | () -> Alcotest.fail "the exception was swallowed"
+  | exception e -> Alcotest.(check bool) "same exception" true (e == boom));
+  Alcotest.(check int) "raising path observed" (c0 + 2) (count ())
+
 let test_metrics_phase () =
   Obs.Metrics.reset ();
   let r = Obs.Metrics.phase "testphase" (fun () -> 41 + 1) in
@@ -673,6 +687,7 @@ let suite =
     Alcotest.test_case "metrics multi-domain hammer" `Quick
       test_metrics_hammer;
     Alcotest.test_case "metrics phase" `Quick test_metrics_phase;
+    Alcotest.test_case "metrics time on raise" `Quick test_metrics_time_raises;
     Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
     Alcotest.test_case "multi-domain trace" `Quick test_multidomain_trace;
     Alcotest.test_case "json parser" `Quick test_json_parser;

@@ -375,6 +375,54 @@ let test_sim_open_loop () =
   Alcotest.(check int) "digest agrees across modes" seq.Serve.Sim.checksum
     dom.Serve.Sim.checksum
 
+(* The shard's one-pass materialization equals [to_posting] shifted
+   by the slice base, on both constructors and the empty/full edges. *)
+let test_to_shifted_array () =
+  let n = 10 and base = 100 in
+  let of_list = Cbitmap.Posting.of_list in
+  let all = List.init n Fun.id in
+  let expected a =
+    Array.map
+      (fun p -> p + base)
+      (Cbitmap.Posting.to_array (Indexing.Answer.to_posting ~n a))
+  in
+  List.iter
+    (fun (name, a) ->
+      Alcotest.(check (array int))
+        name (expected a)
+        (Indexing.Answer.to_shifted_array ~n ~base a))
+    [
+      ("direct", Indexing.Answer.Direct (of_list [ 1; 4; 9 ]));
+      ("complement", Indexing.Answer.Complement (of_list [ 0; 4; 5; 9 ]));
+      ("direct empty", Indexing.Answer.Direct Cbitmap.Posting.empty);
+      ("direct full", Indexing.Answer.Direct (of_list all));
+      ("complement full answer", Indexing.Answer.Complement Cbitmap.Posting.empty);
+      ("complement empty answer", Indexing.Answer.Complement (of_list all));
+    ];
+  Alcotest.(check bool) "complement outside [0;n)" true
+    (match
+       Indexing.Answer.to_shifted_array ~n ~base
+         (Indexing.Answer.Complement (of_list [ 3; n ]))
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let prop_to_shifted_array =
+  QCheck.Test.make ~count:300 ~name:"Answer.to_shifted_array = shifted to_posting"
+    QCheck.(
+      triple (int_range 0 40) (int_range 0 1000)
+        (pair bool (list_of_size (Gen.int_range 0 40) (int_range 0 39))))
+    (fun (n, base, (complement, l)) ->
+      let p = Cbitmap.Posting.of_list (List.filter (fun v -> v < n) l) in
+      let a =
+        if complement then Indexing.Answer.Complement p
+        else Indexing.Answer.Direct p
+      in
+      Indexing.Answer.to_shifted_array ~n ~base a
+      = Array.map
+          (fun v -> v + base)
+          (Cbitmap.Posting.to_array (Indexing.Answer.to_posting ~n a)))
+
 let suite =
   [
     Alcotest.test_case "differential: 15 builders x shards {1,2,4,7}" `Quick
@@ -393,4 +441,6 @@ let suite =
     Alcotest.test_case "traffic schedule" `Quick test_traffic_schedule;
     Alcotest.test_case "alias sampler" `Quick test_alias_sampler;
     Alcotest.test_case "open-loop sim" `Quick test_sim_open_loop;
+    Alcotest.test_case "answer to_shifted_array" `Quick test_to_shifted_array;
+    QCheck_alcotest.to_alcotest prop_to_shifted_array;
   ]
