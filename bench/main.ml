@@ -2,10 +2,15 @@
    Pagh & Rao (PODS 2009) is a theory paper, so each experiment
    validates the space/I-O shape of one theorem or §1 claim on the
    simulated I/O model; EXPERIMENTS.md records the measured numbers.
+   The gated campaigns (--wallclock ... --planner, see [campaigns] at
+   the bottom) each return their BENCH_PR*.json artifacts; one runner
+   writes them and gates them all through [Obs.Report.scan].
 
-     dune exec bench/main.exe            # all experiments
-     dune exec bench/main.exe e3 e5      # a subset
-     dune exec bench/main.exe -- --bechamel   # add wall-clock microbenches *)
+     dune exec bench/main.exe                      # all experiments
+     dune exec bench/main.exe e3 e5                # a subset
+     dune exec bench/main.exe -- --batch --smoke   # one campaign, CI-sized
+
+   Exit codes: 0 clean, 1 a gate failed, 2 a usage error. *)
 
 let fmt = Printf.printf
 
@@ -32,27 +37,7 @@ let table headers rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-let cold_query inst ~lo ~hi =
-  let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
-  (answer, stats)
-
 let avg l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l))
-
-(* ------------------------------------------------------------------ *)
-(* Shared builder table: one registration point for every index
-   structure, shared with the batch differential suite.  Lived here
-   from PR 5 until PR 7 moved it to [Registry] so tests can iterate
-   the same list. *)
-
-type builder = Registry.builder = {
-  b_name : string;
-  b_campaign : bool;
-  b_build : Iosim.Device.t -> sigma:int -> int array -> Indexing.Instance.t;
-}
-
-let all_builders = Registry.all
-let campaign_builders = Registry.campaign
-let builders_named = Registry.named
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Theorem 1: complete-tree index, query O(T/B + lg sigma).      *)
@@ -78,7 +63,9 @@ let e1 () =
             let samples =
               List.map
                 (fun { Workload.Queries.lo; hi } ->
-                  let answer, stats = cold_query inst ~lo ~hi in
+                  let answer, stats =
+                    Indexing.Instance.query_cold inst ~lo ~hi
+                  in
                   let t_bits = Indexing.Answer.compressed_bits answer in
                   let opt = float_of_int t_bits /. 1024.0 in
                   (float_of_int (Iosim.Stats.ios stats), opt))
@@ -139,7 +126,7 @@ let e2 () =
         let data =
           List.map
             (fun ({ Workload.Queries.lo; hi }, z) ->
-              let answer, stats = cold_query inst ~lo ~hi in
+              let answer, stats = Indexing.Instance.query_cold inst ~lo ~hi in
               let t_bits = Indexing.Answer.compressed_bits answer in
               ( float_of_int z,
                 float_of_int t_bits /. 1024.0,
@@ -175,7 +162,7 @@ let e3 () =
   (* At sigma = 256 the shared table's scaled widths reproduce the
      historical parameters binned w:16 and multires w:4. *)
   let builders =
-    builders_named
+    Registry.named
       [
         "btree"; "bitmap"; "range-encoded"; "cbitmap"; "binned"; "multires";
         "wavelet"; "alphabet-tree"; "alphabet-doubling"; "static";
@@ -184,7 +171,7 @@ let e3 () =
   let ells = [ 2; 16; 64; 192 ] in
   let rows =
     List.map
-      (fun { b_build; _ } ->
+      (fun { Registry.b_build; _ } ->
         (* Pool of 256 blocks: the paper's M = B(sigma lg n)^Omega(1)
            without being so large that whole structures stay cached. *)
         let dev = device ~mem_blocks:256 () in
@@ -198,7 +185,9 @@ let e3 () =
               let ratios =
                 List.map
                   (fun { Workload.Queries.lo; hi } ->
-                    let answer, stats = cold_query inst ~lo ~hi in
+                    let answer, stats =
+                      Indexing.Instance.query_cold inst ~lo ~hi
+                    in
                     let t_bits =
                       max 1 (Indexing.Answer.compressed_bits answer)
                     in
@@ -232,7 +221,7 @@ let e4 () =
     let dev = device () in
     let inst : Indexing.Instance.t = build dev in
     let lo, hi = wide in
-    let _, stats = cold_query inst ~lo ~hi in
+    let _, stats = Indexing.Instance.query_cold inst ~lo ~hi in
     [
       name;
       Printf.sprintf "%.0f"
@@ -629,7 +618,7 @@ let e13 () =
       (fun (name, code) ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~code dev ~sigma data in
-        let _, stats = cold_query inst ~lo:16 ~hi:207 in
+        let _, stats = Indexing.Instance.query_cold inst ~lo:16 ~hi:207 in
         [
           name;
           Printf.sprintf "%.0f"
@@ -650,8 +639,8 @@ let e13 () =
       (fun c ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~c dev ~sigma data in
-        let _, s_narrow = cold_query inst ~lo:40 ~hi:41 in
-        let _, s_wide = cold_query inst ~lo:16 ~hi:207 in
+        let _, s_narrow = Indexing.Instance.query_cold inst ~lo:40 ~hi:41 in
+        let _, s_wide = Indexing.Instance.query_cold inst ~lo:16 ~hi:207 in
         [
           string_of_int c;
           Printf.sprintf "%.0f"
@@ -670,7 +659,7 @@ let e13 () =
       (fun complement ->
         let dev = device () in
         let inst = Secidx.Static_index.instance ~complement dev ~sigma data in
-        let _, stats = cold_query inst ~lo:1 ~hi:254 in
+        let _, stats = Indexing.Instance.query_cold inst ~lo:1 ~hi:254 in
         [
           (if complement then "on" else "off");
           string_of_int (Iosim.Stats.ios stats);
@@ -685,7 +674,7 @@ let e13 () =
       (fun block_bits ->
         let dev = device ~block_bits ~mem_blocks:(1024 * 1024 / block_bits) () in
         let inst = Secidx.Static_index.instance dev ~sigma data in
-        let _, stats = cold_query inst ~lo:16 ~hi:79 in
+        let _, stats = Indexing.Instance.query_cold inst ~lo:16 ~hi:79 in
         [
           string_of_int block_bits;
           string_of_int (Iosim.Stats.ios stats);
@@ -696,83 +685,10 @@ let e13 () =
   table [ "B(bits)"; "I/Os"; "bits read" ] b_rows
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock microbenchmarks: one Test.make per experiment. *)
-
-let bechamel () =
-  header "wall-clock microbenchmarks (bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let n = 16384 and sigma = 256 in
-  let g = Workload.Gen.zipf ~seed:20 ~n ~sigma ~theta:1.0 () in
-  let data = g.Workload.Gen.data in
-  let static = Secidx.Static_index.build (device ()) ~sigma data in
-  let thm1 = Secidx.Alphabet_tree.build (device ()) ~sigma data in
-  let cb = Baselines.Cbitmap_index.build (device ()) ~sigma data in
-  let bt = Baselines.Btree.build (device ()) ~sigma data in
-  let approx = Secidx.Approx_index.build (device ()) ~sigma data in
-  let dyn = Secidx.Dynamic_index.build (device ()) ~sigma data in
-  let app = Secidx.Append_index.build (device ()) ~sigma data in
-  let rng = Hashing.Universal.Rng.create ~seed:21 in
-  let posting =
-    Cbitmap.Posting.of_list
-      (List.init 2000 (fun _ -> Hashing.Universal.Rng.below rng n))
-  in
-  let tests =
-    [
-      Test.make ~name:"e1-thm1-query"
-        (Staged.stage (fun () ->
-             ignore (Secidx.Alphabet_tree.query thm1 ~lo:16 ~hi:47)));
-      Test.make ~name:"e2-thm2-query"
-        (Staged.stage (fun () ->
-             ignore (Secidx.Static_index.query static ~lo:16 ~hi:47)));
-      Test.make ~name:"e3-cbitmap-query"
-        (Staged.stage (fun () ->
-             ignore (Baselines.Cbitmap_index.query cb ~lo:16 ~hi:47)));
-      Test.make ~name:"e3-btree-query"
-        (Staged.stage (fun () ->
-             ignore (Baselines.Btree.query bt ~lo:16 ~hi:47)));
-      Test.make ~name:"e5-approx-query"
-        (Staged.stage (fun () ->
-             ignore
-               (Secidx.Approx_index.query approx ~epsilon:0.1 ~lo:16 ~hi:16)));
-      Test.make ~name:"e6-append"
-        (Staged.stage (fun () ->
-             Secidx.Append_index.append app
-               (Hashing.Universal.Rng.below rng sigma)));
-      Test.make ~name:"e9-change"
-        (Staged.stage (fun () ->
-             Secidx.Dynamic_index.change dyn
-               ~pos:(Hashing.Universal.Rng.below rng n)
-               (Hashing.Universal.Rng.below rng sigma)));
-      Test.make ~name:"e11-gamma-encode"
-        (Staged.stage (fun () -> ignore (Cbitmap.Gap_codec.to_buf posting)));
-      Test.make ~name:"e11-wah-encode"
-        (Staged.stage (fun () -> ignore (Cbitmap.Wah.encode ~n posting)));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"secidx" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
-  List.iter
-    (fun name ->
-      let result = Hashtbl.find results name in
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> fmt "%-36s %12.0f ns/op\n" name est
-      | _ -> fmt "%-36s (no estimate)\n" name)
-    (List.sort compare names)
-
-(* ------------------------------------------------------------------ *)
 (* --wallclock: microbenchmarks of the bit-engine hot paths, with the
-   retained per-bit reference implementations as the baseline.  Emits
-   machine-readable BENCH_PR1.json so later PRs can regress against
-   this perf trajectory.  --smoke shrinks the workload for CI. *)
+   retained per-bit reference implementations as the baseline.  Returns
+   BENCH_PR1.json so later PRs can regress against this perf
+   trajectory.  --smoke shrinks the workload for CI. *)
 
 type wc_result = { wc_name : string; ns_per_item : float; items : int }
 
@@ -806,7 +722,7 @@ let time_per_item ~iters ~items f =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) *. 1e9 /. float_of_int (iters * items)
 
-let wallclock ~smoke () =
+let wallclock ~smoke =
   header "wall-clock microbenchmarks (--wallclock)";
   let iters = if smoke then 3 else 40 in
   let results = ref [] in
@@ -937,7 +853,7 @@ let wallclock ~smoke () =
   let inst = Secidx.Static_index.instance (device ()) ~sigma g.Workload.Gen.data in
   ignore
     (record "e2_static_query_cold" ~items:1 (fun () ->
-         let answer, _ = cold_query inst ~lo:16 ~hi:47 in
+         let answer, _ = Indexing.Instance.query_cold inst ~lo:16 ~hi:47 in
          sink := !sink lxor Indexing.Answer.compressed_bits answer));
   (* Speedups the acceptance gate cares about. *)
   let speedups =
@@ -949,25 +865,21 @@ let wallclock ~smoke () =
   in
   fmt "\nspeedup vs retained naive reference:\n";
   List.iter (fun (name, s) -> fmt "  %-28s %6.1fx\n" name s) speedups;
-  (* Machine-readable trajectory file. *)
-  J.to_file "BENCH_PR1.json"
-    (J.Obj
-       [
-         ("pr", J.Int 1);
-         ("label", J.String "word-at-a-time bit engine");
-         ("smoke", J.Bool smoke);
-         ("benchmarks", wc_json !results);
-         ("speedup_vs_naive", speedups_json speedups);
-       ]);
-  fmt "wrote BENCH_PR1.json (sink=%d)\n" (!sink land 1)
+  J.Obj
+    [
+      ("pr", J.Int 1);
+      ("label", J.String "word-at-a-time bit engine");
+      ("smoke", J.Bool smoke);
+      ("benchmarks", wc_json !results);
+      ("speedup_vs_naive", speedups_json speedups);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* PR 2: the buffered codec engine.  Sequential gap decode/encode
    throughput of the cached Decoder + CLZ codes against the retained
    per-bit reference, plus an end-to-end Theorem 2 cold query on both
-   decode paths with an I/O-counter parity assertion.  Emits
-   BENCH_PR2.json and exits non-zero when the gamma decode-speedup
-   gate is unmet. *)
+   decode paths with an I/O-counter parity assertion.  Returns
+   BENCH_PR2.json, gated on the gamma decode speedup and the parity. *)
 
 let decode_value_naive code r =
   match code with
@@ -991,20 +903,9 @@ let time_per_item_best ~iters ~items f =
   done;
   !best *. 1e9 /. float_of_int items
 
-let wallclock_pr2 ~smoke () =
-  header "codec-engine wall-clock microbenchmarks (PR 2)";
-  let iters = if smoke then 3 else 25 in
-  let results = ref [] in
-  let sink = ref 0 in
-  let record wc_name ~items f =
-    let ns_per_item = time_per_item_best ~iters ~items f in
-    results := { wc_name; ns_per_item; items } :: !results;
-    fmt "%-34s %10.2f ns/item\n%!" wc_name ns_per_item;
-    ns_per_item
-  in
-  (* Sorted positions with random gaps up to 200 — the shape posting
-     lists take under the zipfian workloads used in E2. *)
-  let count = if smoke then 20_000 else 200_000 in
+(* Sorted positions with random gaps up to 200 (seed 7) — the shape
+   posting lists take under the zipfian workloads used in E2. *)
+let gap_positions count =
   let rng = Hashing.Universal.Rng.create ~seed:7 in
   let values = Array.make count 0 in
   let v = ref (-1) in
@@ -1012,28 +913,56 @@ let wallclock_pr2 ~smoke () =
     v := !v + 1 + Hashing.Universal.Rng.below rng 200;
     values.(i) <- !v
   done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
+  values
+
+(* The decode race: sequential gap decode of [values] on the word
+   engine against the retained per-bit reference, best-of-[iters]
+   each.  Returns (engine, per-bit) ns per item.  --wallclock runs it
+   per codec, --trace with tracing off, --metrics with the registry
+   live. *)
+let decode_race ~iters ?(code = Cbitmap.Gap_codec.Gamma) values =
+  let count = Array.length values in
+  let buf =
+    Cbitmap.Gap_codec.to_buf ~code (Cbitmap.Posting.of_sorted_array values)
+  in
   let out = Array.make count 0 in
+  let engine =
+    time_per_item_best ~iters ~items:count (fun () ->
+        let d = Bitio.Decoder.of_bitbuf buf in
+        Cbitmap.Gap_codec.decode_into ~code d ~count out)
+  in
+  let perbit =
+    time_per_item_best ~iters ~items:count (fun () ->
+        let r = Bitio.Reader.of_bitbuf buf in
+        let last = ref (-1) in
+        for i = 0 to count - 1 do
+          let gap = decode_value_naive code r in
+          let p = if !last < 0 then gap - 1 else !last + gap in
+          Array.unsafe_set out i p;
+          last := p
+        done)
+  in
+  (engine, perbit)
+
+let wallclock_pr2 ~smoke =
+  header "codec-engine wall-clock microbenchmarks (PR 2)";
+  let iters = if smoke then 3 else 25 in
+  let results = ref [] in
+  let sink = ref 0 in
+  let note wc_name ~items ns_per_item =
+    results := { wc_name; ns_per_item; items } :: !results;
+    fmt "%-34s %10.2f ns/item\n%!" wc_name ns_per_item;
+    ns_per_item
+  in
+  let record wc_name ~items f =
+    note wc_name ~items (time_per_item_best ~iters ~items f)
+  in
+  let count = if smoke then 20_000 else 200_000 in
+  let values = gap_positions count in
   let decode_speedup name code =
-    let buf = Cbitmap.Gap_codec.to_buf ~code posting in
-    let engine =
-      record (name ^ "_decode_engine") ~items:count (fun () ->
-          let d = Bitio.Decoder.of_bitbuf buf in
-          Cbitmap.Gap_codec.decode_into ~code d ~count out;
-          sink := !sink lxor out.(count - 1))
-    in
-    let perbit =
-      record (name ^ "_decode_perbit") ~items:count (fun () ->
-          let r = Bitio.Reader.of_bitbuf buf in
-          let last = ref (-1) in
-          for i = 0 to count - 1 do
-            let gap = decode_value_naive code r in
-            let p = if !last < 0 then gap - 1 else !last + gap in
-            Array.unsafe_set out i p;
-            last := p
-          done;
-          sink := !sink lxor out.(count - 1))
-    in
+    let engine, perbit = decode_race ~iters ~code values in
+    ignore (note (name ^ "_decode_engine") ~items:count engine);
+    ignore (note (name ^ "_decode_perbit") ~items:count perbit);
     perbit /. engine
   in
   let gamma_speedup = decode_speedup "gamma" Cbitmap.Gap_codec.Gamma in
@@ -1075,9 +1004,9 @@ let wallclock_pr2 ~smoke () =
       ~finally:(fun () -> Indexing.Instance.set_reference_decode inst false)
       (fun () ->
         Indexing.Instance.set_reference_decode inst false;
-        let a_new, s_new = cold_query inst ~lo ~hi in
+        let a_new, s_new = Indexing.Instance.query_cold inst ~lo ~hi in
         Indexing.Instance.set_reference_decode inst true;
-        let a_old, s_old = cold_query inst ~lo ~hi in
+        let a_old, s_old = Indexing.Instance.query_cold inst ~lo ~hi in
         let card a = Cbitmap.Posting.cardinal (Indexing.Answer.to_posting ~n a) in
         card a_new = card a_old
         && s_new.Iosim.Stats.block_reads = s_old.Iosim.Stats.block_reads
@@ -1087,7 +1016,7 @@ let wallclock_pr2 ~smoke () =
     (if stats_parity then "ok" else "MISMATCH");
   let e2_bench ref_mode () =
     Indexing.Instance.set_reference_decode inst ref_mode;
-    let answer, _ = cold_query inst ~lo ~hi in
+    let answer, _ = Indexing.Instance.query_cold inst ~lo ~hi in
     sink := !sink lxor Indexing.Answer.compressed_bits answer
   in
   let e2_engine, e2_perbit =
@@ -1111,38 +1040,30 @@ let wallclock_pr2 ~smoke () =
   fmt "\nspeedup vs retained per-bit reference:\n";
   List.iter (fun (name, s) -> fmt "  %-28s %6.1fx\n" name s) speedups;
   let gate_min = if smoke then 1.0 else 4.0 in
-  let gate_pass = gamma_speedup >= gate_min && stats_parity in
-  J.to_file "BENCH_PR2.json"
-    (J.Obj
-       [
-         ("pr", J.Int 2);
-         ("label", J.String "word-at-a-time codec engine");
-         ("smoke", J.Bool smoke);
-         ("benchmarks", wc_json !results);
-         ("speedup_vs_reference", speedups_json speedups);
-         ( "gate",
-           J.Obj
-             [
-               ("metric", J.String "gamma_decode_speedup");
-               ("min", J.Float gate_min);
-               ("value", J.Float gamma_speedup);
-               ("stats_parity", J.Bool stats_parity);
-               ("pass", J.Bool gate_pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR2.json (sink=%d)\n" (!sink land 1);
-  if not gate_pass then begin
-    fmt "BENCH_PR2 gate FAILED: gamma decode %.2fx (min %.2fx), parity=%b\n"
-      gamma_speedup gate_min stats_parity;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 2);
+      ("label", J.String "word-at-a-time codec engine");
+      ("smoke", J.Bool smoke);
+      ("benchmarks", wc_json !results);
+      ("speedup_vs_reference", speedups_json speedups);
+      ( "gate",
+        J.Obj
+          [
+            ("metric", J.String "gamma_decode_speedup");
+            ("min", J.Float gate_min);
+            ("value", J.Float gamma_speedup);
+            ("stats_parity", J.Bool stats_parity);
+            ("pass", J.Bool (gamma_speedup >= gate_min && stats_parity));
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --faults: seeded fault-injection campaign (PR 3).  Every trial
    builds one index on a fresh device, injects one fault class (latent
    bit flips, a torn multi-block write during build, or transient read
    failures), runs detect-or-repair queries and classifies each answer
-   against the naive reference.  Emits BENCH_PR3.json.  The gate: zero
+   against the naive reference.  Returns BENCH_PR3.json.  The gate: zero
    silent wrong answers across the whole campaign, and every
    transient-read trial answers correctly under the bounded retry. *)
 
@@ -1152,9 +1073,6 @@ let kind_name = function
   | Flips -> "flips"
   | Torn -> "torn"
   | Transient -> "transient"
-
-(* Campaign builders are the [b_campaign] subset of the shared table
-   defined at the top of this file. *)
 
 type tally = {
   mutable ok : int;
@@ -1168,6 +1086,39 @@ type tally = {
 let new_tally () =
   { ok = 0; repaired = 0; corrupt = 0; silent_wrong = 0; io_failed = 0;
     repair_ios = 0 }
+
+let count_outcome t = function
+  | `Ok -> t.ok <- t.ok + 1
+  | `Repaired -> t.repaired <- t.repaired + 1
+  | `Corrupt -> t.corrupt <- t.corrupt + 1
+  | `Io_failed -> t.io_failed <- t.io_failed + 1
+  | `Silent_wrong -> t.silent_wrong <- t.silent_wrong + 1
+
+let severity = function
+  | `Ok -> 0 | `Repaired -> 1 | `Corrupt -> 2 | `Io_failed -> 3
+  | `Silent_wrong -> 4
+
+let worse a b = if severity b > severity a then b else a
+
+(* Runs the detect-or-repair query set and classifies each answer
+   against [reference]; returns the worst class and the summed repair
+   cost in block I/Os. *)
+let classify_queries inst ~n ~reference ranges =
+  List.fold_left
+    (fun (worst, cost) (lo, hi) ->
+      let agrees a =
+        Cbitmap.Posting.equal (Indexing.Answer.to_posting ~n a)
+          (reference ~lo ~hi)
+      in
+      match Indexing.Instance.verified_query inst ~lo ~hi with
+      | exception Secidx_error.IO_error _ -> (worse worst `Io_failed, cost)
+      | Indexing.Instance.Corrupt _ -> (worse worst `Corrupt, cost)
+      | Indexing.Instance.Ok a ->
+          (worse worst (if agrees a then `Ok else `Silent_wrong), cost)
+      | Indexing.Instance.Repaired (a, c) ->
+          ( worse worst (if agrees a then `Repaired else `Silent_wrong),
+            cost + c ))
+    (`Ok, 0) ranges
 
 (* One trial: returns the worst classification over the query set plus
    the summed repair cost in block I/Os. *)
@@ -1219,28 +1170,10 @@ let fault_trial ~builder ~kind ~seed =
             ~block:(Iosim.Fault.Rng.int rng blocks)
             ~failures:(1 + Iosim.Fault.Rng.int rng 2)
       | Torn -> ());
-      let worst = ref `Ok and cost = ref 0 in
-      let severity = function
-        | `Ok -> 0 | `Repaired -> 1 | `Corrupt -> 2 | `Io_failed -> 3
-        | `Silent_wrong -> 4
-      in
-      let note c = if severity c > severity !worst then worst := c in
-      List.iter
-        (fun (lo, hi) ->
-          let reference = Workload.Queries.naive_answer g { Workload.Queries.lo; hi } in
-          let agrees a =
-            Cbitmap.Posting.equal (Indexing.Answer.to_posting ~n a) reference
-          in
-          match Indexing.Instance.verified_query inst ~lo ~hi with
-          | exception Secidx_error.IO_error _ -> note `Io_failed
-          | Indexing.Instance.Corrupt _ -> note `Corrupt
-          | Indexing.Instance.Ok a ->
-              note (if agrees a then `Ok else `Silent_wrong)
-          | Indexing.Instance.Repaired (a, c) ->
-              cost := !cost + c;
-              note (if agrees a then `Repaired else `Silent_wrong))
-        [ (0, sigma - 1); (4, 11); (9, 9) ];
-      (!worst, !cost)
+      classify_queries inst ~n
+        ~reference:(fun ~lo ~hi ->
+          Workload.Queries.naive_answer g { Workload.Queries.lo; hi })
+        [ (0, sigma - 1); (4, 11); (9, 9) ]
 
 (* Update-path fault trials (PR 8): the PR 3 campaign faults *built*
    structures; these fault the write path itself.  A seeded op
@@ -1276,7 +1209,7 @@ let mutated_oracle ~sigma data =
     done;
     Cbitmap.Posting.of_list !acc
   in
-  (apply, answer, fun () -> !len)
+  (apply, answer, fun () -> Array.sub !chars 0 !len)
 
 let random_ops ~rng ~sigma ~kinds ~len ~count =
   let len = ref len in
@@ -1305,14 +1238,9 @@ let update_fault_trial ~(u : Registry.updatable) ~kind ~seed =
   let dev = device () in
   let rng = Iosim.Fault.Rng.create ((seed * 6113) + 29) in
   let started = u.Registry.u_start dev ~sigma data in
-  let apply_m, answer_m, live_len = mutated_oracle ~sigma data in
+  let apply_m, answer_m, live = mutated_oracle ~sigma data in
   let ops = random_ops ~rng ~sigma ~kinds:u.Registry.u_kinds ~len:n ~count:80 in
   let worst = ref `Ok in
-  let severity = function
-    | `Ok -> 0 | `Repaired -> 1 | `Corrupt -> 2 | `Io_failed -> 3
-    | `Silent_wrong -> 4
-  in
-  let note c = if severity c > severity !worst then worst := c in
   (* The wal store retries its own compactions (and degrades rather
      than fails), so it takes the transients while the ops run.  The
      other update paths mutate in place with no internal retry —
@@ -1337,7 +1265,7 @@ let update_fault_trial ~(u : Registry.updatable) ~kind ~seed =
          started.Registry.u_apply op;
          apply_m op)
        ops
-   with Secidx_error.IO_error _ -> note `Io_failed);
+   with Secidx_error.IO_error _ -> worst := `Io_failed);
   if during_updates then Iosim.Device.clear_fault dev;
   if !worst = `Ok then begin
     (match kind with
@@ -1355,142 +1283,111 @@ let update_fault_trial ~(u : Registry.updatable) ~kind ~seed =
           ~block:(Iosim.Fault.Rng.int rng blocks)
           ~failures:(1 + Iosim.Fault.Rng.int rng 2)
     | _ -> ());
-    let inst = started.Registry.u_instance () in
-    List.iter
-      (fun (lo, hi) ->
-        let reference = answer_m ~lo ~hi in
-        let agrees a =
-          Cbitmap.Posting.equal
-            (Indexing.Answer.to_posting ~n:(live_len ()) a)
-            reference
-        in
-        match Indexing.Instance.verified_query inst ~lo ~hi with
-        | exception Secidx_error.IO_error _ -> note `Io_failed
-        | Indexing.Instance.Corrupt _ -> note `Corrupt
-        | Indexing.Instance.Ok a -> note (if agrees a then `Ok else `Silent_wrong)
-        | Indexing.Instance.Repaired (a, _) ->
-            note (if agrees a then `Repaired else `Silent_wrong))
-      [ (0, sigma - 1); (4, 11); (9, 9) ]
+    worst :=
+      fst
+        (classify_queries
+           (started.Registry.u_instance ())
+           ~n:(Array.length (live ())) ~reference:answer_m
+           [ (0, sigma - 1); (4, 11); (9, 9) ])
   end;
   !worst
 
-let fault_campaign ~smoke () =
+let fault_campaign ~smoke =
   header "fault-injection campaign (--faults)";
   let seeds = if smoke then [ 101; 102 ] else [ 101; 102; 103; 104; 105; 106 ] in
-  let kinds = [ Flips; Torn; Transient ] in
-  let results =
+  (* One tally per (structure, kind) over the seeds. *)
+  let tallies kinds trial =
     List.map
-      (fun (name, builder) ->
-        let per_kind =
-          List.map
-            (fun kind ->
-              let t = new_tally () in
-              List.iter
-                (fun seed ->
-                  let outcome, cost = fault_trial ~builder ~kind ~seed in
-                  t.repair_ios <- t.repair_ios + cost;
-                  match outcome with
-                  | `Ok -> t.ok <- t.ok + 1
-                  | `Repaired -> t.repaired <- t.repaired + 1
-                  | `Corrupt -> t.corrupt <- t.corrupt + 1
-                  | `Io_failed -> t.io_failed <- t.io_failed + 1
-                  | `Silent_wrong -> t.silent_wrong <- t.silent_wrong + 1)
-                seeds;
-              (kind, t))
-            kinds
-        in
-        (name, per_kind))
-      campaign_builders
+      (fun kind ->
+        let t = new_tally () in
+        List.iter
+          (fun seed ->
+            let outcome, cost = trial ~kind ~seed in
+            t.repair_ios <- t.repair_ios + cost;
+            count_outcome t outcome)
+          seeds;
+        (kind, t))
+      kinds
   in
-  let total f =
-    List.fold_left
-      (fun acc (_, per_kind) ->
-        List.fold_left (fun acc (_, t) -> acc + f t) acc per_kind)
-      0 results
-  in
-  let trials =
-    List.length campaign_builders * List.length kinds * List.length seeds
-  in
-  let silent_wrong = total (fun t -> t.silent_wrong) in
-  let transient_failures =
+  let total ?(only = fun _ -> true) rows f =
     List.fold_left
       (fun acc (_, per_kind) ->
         List.fold_left
-          (fun acc (kind, t) ->
-            if kind = Transient then acc + t.corrupt + t.io_failed + t.silent_wrong
-            else acc)
+          (fun acc (kind, t) -> if only kind then acc + f t else acc)
           acc per_kind)
-      0 results
+      0 rows
   in
-  table
-    ([ "index"; "kind"; "ok"; "repaired"; "corrupt"; "silent"; "io-fail";
-       "repair-IOs" ]
-    |> List.map String.lowercase_ascii)
-    (List.concat_map
-       (fun (name, per_kind) ->
-         List.map
-           (fun (kind, t) ->
-             [ name; kind_name kind; string_of_int t.ok;
-               string_of_int t.repaired; string_of_int t.corrupt;
-               string_of_int t.silent_wrong; string_of_int t.io_failed;
-               string_of_int t.repair_ios ])
-           per_kind)
-       results);
+  let tally_fields ~repair t =
+    [ ("ok", t.ok); ("repaired", t.repaired); ("corrupt", t.corrupt);
+      ("silent_wrong", t.silent_wrong); ("io_failed", t.io_failed) ]
+    @ if repair then [ ("repair_ios", t.repair_ios) ] else []
+  in
+  let show ~repair rows =
+    table
+      ([ "index"; "kind"; "ok"; "repaired"; "corrupt"; "silent"; "io-fail" ]
+      @ if repair then [ "repair-ios" ] else [])
+      (List.concat_map
+         (fun (name, per_kind) ->
+           List.map
+             (fun (kind, t) ->
+               name :: kind_name kind
+               :: List.map
+                    (fun (_, v) -> string_of_int v)
+                    (tally_fields ~repair t))
+             per_kind)
+         rows)
+  in
+  let to_json ~repair rows =
+    J.List
+      (List.map
+         (fun (name, per_kind) ->
+           J.Obj
+             (("name", J.String name)
+             :: List.map
+                  (fun (kind, t) ->
+                    ( kind_name kind,
+                      J.Obj
+                        (List.map
+                           (fun (k, v) -> (k, J.Int v))
+                           (tally_fields ~repair t)) ))
+                  per_kind))
+         rows)
+  in
+  let results =
+    List.map
+      (fun (name, builder) ->
+        (name, tallies [ Flips; Torn; Transient ] (fault_trial ~builder)))
+      Registry.campaign
+  in
+  let trials = total results (fun _ -> List.length seeds) in
+  let silent_wrong = total results (fun t -> t.silent_wrong) in
+  let transient_failures =
+    total ~only:(( = ) Transient) results (fun t ->
+        t.corrupt + t.io_failed + t.silent_wrong)
+  in
+  show ~repair:true results;
   (* PR 8: the write paths, under the same classification.  Transient
      reads apply to every updatable structure (each op runs under the
      bounded retry); latent flips only to those whose extents carry
      rebuild frames (wal) — the others have no repair source, so a
      flip trial would only measure the absence of an integrity layer,
      not a write-path defect. *)
-  let update_kinds u =
-    if u.Registry.u_name = "wal" then [ Transient; Flips ] else [ Transient ]
-  in
   let update_results =
     List.map
       (fun u ->
         ( u.Registry.u_name,
-          List.map
-            (fun kind ->
-              let t = new_tally () in
-              List.iter
-                (fun seed ->
-                  match update_fault_trial ~u ~kind ~seed with
-                  | `Ok -> t.ok <- t.ok + 1
-                  | `Repaired -> t.repaired <- t.repaired + 1
-                  | `Corrupt -> t.corrupt <- t.corrupt + 1
-                  | `Io_failed -> t.io_failed <- t.io_failed + 1
-                  | `Silent_wrong -> t.silent_wrong <- t.silent_wrong + 1)
-                seeds;
-              (kind, t))
-            (update_kinds u) ))
+          tallies
+            (if u.Registry.u_name = "wal" then [ Transient; Flips ]
+             else [ Transient ])
+            (fun ~kind ~seed -> (update_fault_trial ~u ~kind ~seed, 0)) ))
       Registry.updatable
   in
   fmt "\nupdate paths:\n";
-  table
-    [ "index"; "kind"; "ok"; "repaired"; "corrupt"; "silent"; "io-fail" ]
-    (List.concat_map
-       (fun (name, per_kind) ->
-         List.map
-           (fun (kind, t) ->
-             [ name; kind_name kind; string_of_int t.ok;
-               string_of_int t.repaired; string_of_int t.corrupt;
-               string_of_int t.silent_wrong; string_of_int t.io_failed ])
-           per_kind)
-       update_results);
-  let update_total f =
-    List.fold_left
-      (fun acc (_, per_kind) ->
-        List.fold_left (fun acc (_, t) -> acc + f t) acc per_kind)
-      0 update_results
-  in
-  let update_trials =
-    List.fold_left
-      (fun acc (_, per_kind) -> acc + (List.length per_kind * List.length seeds))
-      0 update_results
-  in
-  let update_silent_wrong = update_total (fun t -> t.silent_wrong) in
+  show ~repair:false update_results;
+  let update_trials = total update_results (fun _ -> List.length seeds) in
+  let update_silent_wrong = total update_results (fun t -> t.silent_wrong) in
   let update_failures =
-    update_total (fun t -> t.io_failed + t.corrupt)
+    total update_results (fun t -> t.io_failed + t.corrupt)
   in
   let pass =
     silent_wrong = 0 && transient_failures = 0 && update_silent_wrong = 0
@@ -1498,74 +1395,28 @@ let fault_campaign ~smoke () =
   in
   fmt "trials=%d silent_wrong=%d transient_failures=%d detected=%d repaired=%d\n"
     trials silent_wrong transient_failures
-    (total (fun t -> t.corrupt))
-    (total (fun t -> t.repaired));
+    (total results (fun t -> t.corrupt))
+    (total results (fun t -> t.repaired));
   fmt "update trials=%d silent_wrong=%d failures=%d\n" update_trials
     update_silent_wrong update_failures;
-  J.to_file "BENCH_PR3.json"
-    (J.Obj
-       [
-         ("pr", J.Int 3);
-         ("label", J.String "fault-injected device, detect-or-repair queries");
-         ("smoke", J.Bool smoke);
-         ("trials", J.Int trials);
-         ( "builders",
-           J.List
-             (List.map
-                (fun (name, per_kind) ->
-                  J.Obj
-                    (("name", J.String name)
-                    :: List.map
-                         (fun (kind, t) ->
-                           ( kind_name kind,
-                             J.Obj
-                               [
-                                 ("ok", J.Int t.ok);
-                                 ("repaired", J.Int t.repaired);
-                                 ("corrupt", J.Int t.corrupt);
-                                 ("silent_wrong", J.Int t.silent_wrong);
-                                 ("io_failed", J.Int t.io_failed);
-                                 ("repair_ios", J.Int t.repair_ios);
-                               ] ))
-                         per_kind))
-                results) );
-         ( "update_paths",
-           J.List
-             (List.map
-                (fun (name, per_kind) ->
-                  J.Obj
-                    (("name", J.String name)
-                    :: List.map
-                         (fun (kind, t) ->
-                           ( kind_name kind,
-                             J.Obj
-                               [
-                                 ("ok", J.Int t.ok);
-                                 ("repaired", J.Int t.repaired);
-                                 ("corrupt", J.Int t.corrupt);
-                                 ("silent_wrong", J.Int t.silent_wrong);
-                                 ("io_failed", J.Int t.io_failed);
-                               ] ))
-                         per_kind))
-                update_results) );
-         ( "gate",
-           J.Obj
-             [
-               ("silent_wrong", J.Int silent_wrong);
-               ("transient_failures", J.Int transient_failures);
-               ("update_silent_wrong", J.Int update_silent_wrong);
-               ("update_failures", J.Int update_failures);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR3.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR3 gate FAILED: silent_wrong=%d transient_failures=%d \
-       update_silent_wrong=%d update_failures=%d\n"
-      silent_wrong transient_failures update_silent_wrong update_failures;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 3);
+      ("label", J.String "fault-injected device, detect-or-repair queries");
+      ("smoke", J.Bool smoke);
+      ("trials", J.Int trials);
+      ("builders", to_json ~repair:true results);
+      ("update_paths", to_json ~repair:false update_results);
+      ( "gate",
+        J.Obj
+          [
+            ("silent_wrong", J.Int silent_wrong);
+            ("transient_failures", J.Int transient_failures);
+            ("update_silent_wrong", J.Int update_silent_wrong);
+            ("update_failures", J.Int update_failures);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --trace (PR 4): query tracing, space ledgers and the theorem-
@@ -1579,9 +1430,8 @@ let fault_campaign ~smoke () =
    Paper-side builders are then checked against the Theorem 1/2 query
    envelopes with a constant fitted on even-indexed queries and
    verified on odd-indexed ones; the append paths are checked against
-   Theorems 4/5 the same way across sizes.  Emits BENCH_PR4.json and
-   a sample Chrome trace (TRACE_PR4.trace.json); exits non-zero when
-   any gate fails. *)
+   Theorems 4/5 the same way across sizes.  Returns BENCH_PR4.json and
+   writes a sample Chrome trace (TRACE_PR4.trace.json). *)
 
 type phase_agg = {
   mutable p_spans : int;
@@ -1932,34 +1782,7 @@ let trace_overhead ~smoke =
   let sink = ref 0 in
   let iters = if smoke then 3 else 15 in
   let count = if smoke then 20_000 else 100_000 in
-  let rng = Hashing.Universal.Rng.create ~seed:7 in
-  let values = Array.make count 0 in
-  let v = ref (-1) in
-  for i = 0 to count - 1 do
-    v := !v + 1 + Hashing.Universal.Rng.below rng 200;
-    values.(i) <- !v
-  done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
-  let buf = Cbitmap.Gap_codec.to_buf posting in
-  let out = Array.make count 0 in
-  let engine =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let d = Bitio.Decoder.of_bitbuf buf in
-        Cbitmap.Gap_codec.decode_into d ~count out;
-        sink := !sink lxor out.(count - 1))
-  in
-  let perbit =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let r = Bitio.Reader.of_bitbuf buf in
-        let last = ref (-1) in
-        for i = 0 to count - 1 do
-          let gap = Bitio.Codes.Naive.decode_gamma r in
-          let p = if !last < 0 then gap - 1 else !last + gap in
-          Array.unsafe_set out i p;
-          last := p
-        done;
-        sink := !sink lxor out.(count - 1))
-  in
+  let engine, perbit = decode_race ~iters (gap_positions count) in
   let speedup_off = perbit /. engine in
   let gate_min = if smoke then 1.0 else 4.0 in
   (* Warm-query wall clock, tracing off vs on. *)
@@ -1999,7 +1822,7 @@ let trace_overhead ~smoke =
   in
   (json, pass)
 
-let trace_run ~smoke () =
+let trace_run ~smoke =
   header "query tracing, space ledgers, theorem envelopes (--trace)";
   let block_bits = 1024 in
   let n = if smoke then 4096 else 16384 in
@@ -2023,7 +1846,7 @@ let trace_run ~smoke () =
       [ 1; 2; 4; 8; 16; 32 ]
   in
   let rows =
-    List.map (trace_one ~block_bits ~n ~sigma ~queries data) campaign_builders
+    List.map (trace_one ~block_bits ~n ~sigma ~queries data) Registry.campaign
   in
   table
     [ "index"; "KiB"; "ledger"; "diff"; "events"; "spans"; "envelope" ]
@@ -2067,40 +1890,30 @@ let trace_run ~smoke () =
     && envelope_violations = 0
     && overhead_pass
   in
-  J.to_file "BENCH_PR4.json"
-    (J.Obj
-       [
-         ("pr", J.Int 4);
-         ("label", J.String "query tracing, space ledgers, theorem envelopes");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("block_bits", J.Int block_bits);
-         ("queries_per_builder", J.Int (List.length queries));
-         ("builders", J.List (List.map (fun r -> r.tr_json) rows));
-         ("append_envelopes", appends_json);
-         ("overhead", overhead_json);
-         ( "gate",
-           J.Obj
-             [
-               ("ledger_failures", J.Int ledger_failures);
-               ("differential_mismatches", J.Int mismatches);
-               ("unmatched_spans", J.Int unmatched);
-               ("event_counter_mismatches", J.Int event_mismatches);
-               ("envelope_violations", J.Int envelope_violations);
-               ("overhead_pass", J.Bool overhead_pass);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR4.json + TRACE_PR4.trace.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR4 gate FAILED: ledger=%d diff=%d unmatched=%d events=%d \
-       envelope=%d overhead=%b\n"
-      ledger_failures mismatches unmatched event_mismatches
-      envelope_violations overhead_pass;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 4);
+      ("label", J.String "query tracing, space ledgers, theorem envelopes");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ("block_bits", J.Int block_bits);
+      ("queries_per_builder", J.Int (List.length queries));
+      ("builders", J.List (List.map (fun r -> r.tr_json) rows));
+      ("append_envelopes", appends_json);
+      ("overhead", overhead_json);
+      ( "gate",
+        J.Obj
+          [
+            ("ledger_failures", J.Int ledger_failures);
+            ("differential_mismatches", J.Int mismatches);
+            ("unmatched_spans", J.Int unmatched);
+            ("event_counter_mismatches", J.Int event_mismatches);
+            ("envelope_violations", J.Int envelope_violations);
+            ("overhead_pass", J.Bool overhead_pass);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --batch (PR 5): batched query execution.  For every index in the
@@ -2113,7 +1926,7 @@ let trace_run ~smoke () =
    batched answer is bit-identical — same constructor, same posting —
    to its cold counterpart for every index and every k, and the static
    index's total-I/O reduction at k = 64 on the E2 workload is at
-   least 3x.  Emits BENCH_PR5.json. *)
+   least 3x.  Returns BENCH_PR5.json. *)
 
 let answers_identical a b =
   match (a, b) with
@@ -2157,7 +1970,9 @@ let batch_one ~sigma ~ks ~data inst =
     (fun k ->
       let ranges = batch_ranges ~seed:41 ~sigma ~k data in
       let cold =
-        Array.map (fun (lo, hi) -> cold_query inst ~lo ~hi) ranges
+        Array.map
+          (fun (lo, hi) -> Indexing.Instance.query_cold inst ~lo ~hi)
+          ranges
       in
       let cold_ios =
         Array.fold_left (fun acc (_, s) -> acc + Iosim.Stats.ios s) 0 cold
@@ -2187,7 +2002,7 @@ let batch_one ~sigma ~ks ~data inst =
 let speedup r =
   float_of_int r.br_cold_ios /. float_of_int (max 1 r.br_batch_ios)
 
-let batch_run ~smoke () =
+let batch_run ~smoke =
   header "batched query execution (--batch)";
   let n = if smoke then 8192 else 65536 and sigma = 256 in
   let g = Workload.Gen.zipf ~seed:3 ~n ~sigma ~theta:1.0 () in
@@ -2197,9 +2012,9 @@ let batch_run ~smoke () =
     List.map
       (fun b ->
         let dev = device ~pool_policy:`Segmented () in
-        let inst = b.b_build dev ~sigma data in
-        (b.b_name, batch_one ~sigma ~ks ~data inst))
-      all_builders
+        let inst = b.Registry.b_build dev ~sigma data in
+        (b.Registry.b_name, batch_one ~sigma ~ks ~data inst))
+      Registry.all
   in
   table
     [ "index"; "k"; "cold IOs"; "batch IOs"; "speedup"; "hit-rate";
@@ -2248,66 +2063,59 @@ let batch_run ~smoke () =
   let pass = mismatches = 0 && static_speedup >= 3.0 in
   fmt "answer mismatches=%d static k=64 speedup=%.2fx (gate >= 3.0)\n"
     mismatches static_speedup;
-  J.to_file "BENCH_PR5.json"
-    (J.Obj
-       [
-         ("pr", J.Int 5);
-         ("label", J.String "batched query execution vs independent cold queries");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ( "builders",
-           J.List
-             (List.map
-                (fun (name, rs) ->
-                  J.Obj
-                    [
-                      ("name", J.String name);
-                      ( "batches",
-                        J.List
-                          (List.map
-                             (fun r ->
-                               J.Obj
-                                 [
-                                   ("k", J.Int r.br_k);
-                                   ("cold_ios", J.Int r.br_cold_ios);
-                                   ("batch_ios", J.Int r.br_batch_ios);
-                                   ("speedup", J.Float (speedup r));
-                                   ("cold_seeks", J.Int r.br_cold_seeks);
-                                   ("batch_seeks", J.Int r.br_batch_seeks);
-                                   ("pool_hit_rate", J.Float r.br_pool_hit_rate);
-                                   ("prefetches", J.Int r.br_prefetches);
-                                   ("prefetch_hits", J.Int r.br_prefetch_hits);
-                                   ("answers_equal", J.Bool r.br_equal);
-                                 ])
-                             rs) );
-                    ])
-                rows) );
-         ( "pool_policies",
-           J.List
-             (List.map
-                (fun (pname, ios, hr) ->
-                  J.Obj
-                    [
-                      ("policy", J.String pname);
-                      ("ios", J.Int ios);
-                      ("pool_hit_rate", J.Float hr);
-                    ])
-                policies) );
-         ( "gate",
-           J.Obj
-             [
-               ("answer_mismatches", J.Int mismatches);
-               ("static_speedup_k64", J.Float static_speedup);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR5.json\n";
-  if not pass then begin
-    fmt "BENCH_PR5 gate FAILED: mismatches=%d static_speedup_k64=%.2f\n"
-      mismatches static_speedup;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 5);
+      ("label", J.String "batched query execution vs independent cold queries");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ( "builders",
+        J.List
+          (List.map
+             (fun (name, rs) ->
+               J.Obj
+                 [
+                   ("name", J.String name);
+                   ( "batches",
+                     J.List
+                       (List.map
+                          (fun r ->
+                            J.Obj
+                              [
+                                ("k", J.Int r.br_k);
+                                ("cold_ios", J.Int r.br_cold_ios);
+                                ("batch_ios", J.Int r.br_batch_ios);
+                                ("speedup", J.Float (speedup r));
+                                ("cold_seeks", J.Int r.br_cold_seeks);
+                                ("batch_seeks", J.Int r.br_batch_seeks);
+                                ("pool_hit_rate", J.Float r.br_pool_hit_rate);
+                                ("prefetches", J.Int r.br_prefetches);
+                                ("prefetch_hits", J.Int r.br_prefetch_hits);
+                                ("answers_equal", J.Bool r.br_equal);
+                              ])
+                          rs) );
+                 ])
+             rows) );
+      ( "pool_policies",
+        J.List
+          (List.map
+             (fun (pname, ios, hr) ->
+               J.Obj
+                 [
+                   ("policy", J.String pname);
+                   ("ios", J.Int ios);
+                   ("pool_hit_rate", J.Float hr);
+                 ])
+             policies) );
+      ( "gate",
+        J.Obj
+          [
+            ("answer_mismatches", J.Int mismatches);
+            ("static_speedup_k64", J.Float static_speedup);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --serve (PR 6): sharded, domain-parallel serving.  The logical
@@ -2331,15 +2139,16 @@ let batch_run ~smoke () =
    would gate on the hardware, not the code.  CI runs on multi-core
    runners, where the speedup gate is live. *)
 
-let serve_run ~smoke () =
+let serve_run ~smoke =
   header "sharded parallel serving (--serve)";
   let n = if smoke then 4096 else 16384 and sigma = 256 in
   let g = Workload.Gen.zipf ~seed:6 ~n ~sigma ~theta:1.0 () in
   let data = g.Workload.Gen.data in
-  let builder = List.find (fun b -> b.b_name = "static") all_builders in
+  let builder = List.hd (Registry.named [ "static" ]) in
   let make_device _ = device ~pool_policy:`Segmented () in
   let make_shards k =
-    Serve.Shard.build ~shards:k ~make_device ~build:builder.b_build ~sigma data
+    Serve.Shard.build ~shards:k ~make_device ~build:builder.Registry.b_build
+      ~sigma data
   in
   let now () = Unix.gettimeofday () in
 
@@ -2385,7 +2194,7 @@ let serve_run ~smoke () =
      count, and a 2-domain router) against the unsharded instance over
      a seeded query mix plus the adversarial shapes — boundary
      spanning, full range, clamped, empty. *)
-  let unsharded = builder.b_build (make_device (-1)) ~sigma data in
+  let unsharded = builder.Registry.b_build (make_device (-1)) ~sigma data in
   let check_queries =
     let module Rng = Hashing.Universal.Rng in
     let rng = Rng.create ~seed:7 in
@@ -2508,77 +2317,68 @@ let serve_run ~smoke () =
   let pass =
     mismatches = 0 && digest_ok && speedup_ok && zipf_alias_speedup >= 1.0
   in
-  J.to_file "BENCH_PR6.json"
-    (J.Obj
-       [
-         ("pr", J.Int 6);
-         ("label", J.String "sharded domain-parallel serving, open-loop");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("builder", J.String builder.b_name);
-         ("queries", J.Int count);
-         ("cores", J.Int cores);
-         ("capacity_probe_qps", J.Float probe);
-         ( "runs",
-           J.List
-             (List.map
-                (fun (d, over, steady, stats) ->
-                  J.Obj
-                    [
-                      ("domains", J.Int d);
-                      ( "mode",
-                        J.String (if d = 1 then "sequential" else "domains") );
-                      ( "overload",
-                        J.Obj
-                          [
-                            ("throughput_qps", J.Float over.Serve.Sim.throughput);
-                            ("wall_s", J.Float over.Serve.Sim.wall);
-                            ("speedup", J.Float (over.Serve.Sim.throughput /. base));
-                            ("batches", J.Int over.Serve.Sim.batches);
-                            ("max_batch", J.Int over.Serve.Sim.max_batch);
-                            ("digest", J.Int over.Serve.Sim.checksum);
-                          ] );
-                      ( "steady",
-                        J.Obj
-                          [
-                            ("throughput_qps", J.Float steady.Serve.Sim.throughput);
-                            ( "latency",
-                              Workload.Histogram.to_json
-                                steady.Serve.Sim.latency );
-                            ("digest", J.Int steady.Serve.Sim.checksum);
-                          ] );
-                      ( "shards",
-                        J.List
-                          (List.map
-                             (fun s -> J.Int (Iosim.Stats.ios s))
-                             stats) );
-                      ("shard_stats_merged",
-                        Iosim.Stats.to_json (Iosim.Stats.merge stats));
-                      ("imbalance", J.Float (Iosim.Stats.imbalance stats));
-                    ])
-                runs) );
-         ( "gate",
-           J.Obj
-             [
-               ("answer_mismatches", J.Int mismatches);
-               ("digests_agree", J.Bool digest_ok);
-               ("zipf_alias_speedup", J.Float zipf_alias_speedup);
-               ("speedup_domains", J.Int gate_domains);
-               ("speedup_min", J.Float gate_min);
-               ("speedup_measured", J.Float speedup);
-               ("speedup_enforced", J.Bool speedup_enforced);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR6.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR6 gate FAILED: mismatches=%d digests_agree=%b speedup=%.2f \
-       alias=%.2f\n"
-      mismatches digest_ok speedup zipf_alias_speedup;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 6);
+      ("label", J.String "sharded domain-parallel serving, open-loop");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ("builder", J.String builder.Registry.b_name);
+      ("queries", J.Int count);
+      ("cores", J.Int cores);
+      ("capacity_probe_qps", J.Float probe);
+      ( "runs",
+        J.List
+          (List.map
+             (fun (d, over, steady, stats) ->
+               J.Obj
+                 [
+                   ("domains", J.Int d);
+                   ( "mode",
+                     J.String (if d = 1 then "sequential" else "domains") );
+                   ( "overload",
+                     J.Obj
+                       [
+                         ("throughput_qps", J.Float over.Serve.Sim.throughput);
+                         ("wall_s", J.Float over.Serve.Sim.wall);
+                         ("speedup", J.Float (over.Serve.Sim.throughput /. base));
+                         ("batches", J.Int over.Serve.Sim.batches);
+                         ("max_batch", J.Int over.Serve.Sim.max_batch);
+                         ("digest", J.Int over.Serve.Sim.checksum);
+                       ] );
+                   ( "steady",
+                     J.Obj
+                       [
+                         ("throughput_qps", J.Float steady.Serve.Sim.throughput);
+                         ( "latency",
+                           Workload.Histogram.to_json
+                             steady.Serve.Sim.latency );
+                         ("digest", J.Int steady.Serve.Sim.checksum);
+                       ] );
+                   ( "shards",
+                     J.List
+                       (List.map
+                          (fun s -> J.Int (Iosim.Stats.ios s))
+                          stats) );
+                   ("shard_stats_merged",
+                     Iosim.Stats.to_json (Iosim.Stats.merge stats));
+                   ("imbalance", J.Float (Iosim.Stats.imbalance stats));
+                 ])
+             runs) );
+      ( "gate",
+        J.Obj
+          [
+            ("answer_mismatches", J.Int mismatches);
+            ("digests_agree", J.Bool digest_ok);
+            ("zipf_alias_speedup", J.Float zipf_alias_speedup);
+            ("speedup_domains", J.Int gate_domains);
+            ("speedup_min", J.Float gate_min);
+            ("speedup_measured", J.Float speedup);
+            ("speedup_enforced", J.Bool speedup_enforced);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -2601,7 +2401,7 @@ let serve_run ~smoke () =
    (gate: measured reduction), since a run encodes in two fields what
    gamma spells out position by position. *)
 
-let containers_run ~smoke () =
+let containers_run ~smoke =
   header "hybrid container payloads (--containers)";
   let n = if smoke then 8192 else 65536 and sigma = 256 in
   let base_workloads =
@@ -2736,52 +2536,43 @@ let containers_run ~smoke () =
     "mixed: hybrid/best=%.3f (gate <= 1.05)  clustered: gamma/hybrid \
      bits-read=%.2fx (gate > 1.0)  mismatches=%d  ledgers exact=%b\n"
     mixed_ratio io_reduction total_mismatches ledgers_exact;
-  J.to_file "BENCH_PR7.json"
-    (J.Obj
-       [
-         ("pr", J.Int 7);
-         ("label", J.String "adaptive hybrid container payloads");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("chunk", J.Int chunk);
-         ( "workloads",
-           J.List
-             (List.map
-                (fun (w, ga, wa, ef, hy, mis, ioh, iog, lex, lj) ->
-                  J.Obj
-                    [
-                      ("name", J.String w);
-                      ("gamma_bits", J.Int ga);
-                      ("wah_bits", J.Int wa);
-                      ("elias_fano_bits", J.Int ef);
-                      ("hybrid_bits", J.Int hy);
-                      ("mismatches", J.Int mis);
-                      ("io_hybrid_bits_read", J.Int ioh);
-                      ("io_gamma_bits_read", J.Int iog);
-                      ("ledger_exact", J.Bool lex);
-                      ("ledger", lj);
-                    ])
-                rows) );
-         ( "gate",
-           J.Obj
-             [
-               ("mixed_hybrid_over_best", J.Float mixed_ratio);
-               ("mixed_max", J.Float 1.05);
-               ("clustered_io_reduction", J.Float io_reduction);
-               ("mismatches", J.Int total_mismatches);
-               ("ledgers_exact", J.Bool ledgers_exact);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR7.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR7 gate FAILED: mismatches=%d mixed_ratio=%.3f \
-       io_reduction=%.2f ledgers_exact=%b\n"
-      total_mismatches mixed_ratio io_reduction ledgers_exact;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 7);
+      ("label", J.String "adaptive hybrid container payloads");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ("chunk", J.Int chunk);
+      ( "workloads",
+        J.List
+          (List.map
+             (fun (w, ga, wa, ef, hy, mis, ioh, iog, lex, lj) ->
+               J.Obj
+                 [
+                   ("name", J.String w);
+                   ("gamma_bits", J.Int ga);
+                   ("wah_bits", J.Int wa);
+                   ("elias_fano_bits", J.Int ef);
+                   ("hybrid_bits", J.Int hy);
+                   ("mismatches", J.Int mis);
+                   ("io_hybrid_bits_read", J.Int ioh);
+                   ("io_gamma_bits_read", J.Int iog);
+                   ("ledger_exact", J.Bool lex);
+                   ("ledger", lj);
+                 ])
+             rows) );
+      ( "gate",
+        J.Obj
+          [
+            ("mixed_hybrid_over_best", J.Float mixed_ratio);
+            ("mixed_max", J.Float 1.05);
+            ("clustered_io_reduction", J.Float io_reduction);
+            ("mismatches", J.Int total_mismatches);
+            ("ledgers_exact", J.Bool ledgers_exact);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --wal (PR 8): the crash-safe write path.  Three parts:
@@ -2801,7 +2592,7 @@ let containers_run ~smoke () =
       counted block write (torn and clean, on the WAL device and the
       index device), recovers from the surviving WAL, and gates on
       zero lost acknowledged updates and zero wrong answers, with
-      double-crash-during-recovery subcases.  Emits BENCH_PR8.json. *)
+      double-crash-during-recovery subcases.  Returns BENCH_PR8.json. *)
 
 let wal_queries ~sigma ~count ~seed =
   let rng = Iosim.Fault.Rng.create seed in
@@ -2824,24 +2615,9 @@ let wal_frontier ~smoke =
      scratch over it (deleted positions carry the sentinel character
      sigma, outside every query range) *)
   let mut =
-    let chars = ref (Array.copy data) in
-    let len = ref (Array.length data) in
-    List.iter
-      (fun op ->
-        (match op with
-        | Wal.Op.Append _ when !len = Array.length !chars ->
-            let grown = Array.make (max 16 (2 * !len)) 0 in
-            Array.blit !chars 0 grown 0 !len;
-            chars := grown
-        | _ -> ());
-        match op with
-        | Wal.Op.Set { pos; ch } -> !chars.(pos) <- ch
-        | Wal.Op.Delete { pos } -> !chars.(pos) <- sigma
-        | Wal.Op.Append { ch } ->
-            !chars.(!len) <- ch;
-            incr len)
-      ops;
-    Array.sub !chars 0 !len
+    let apply, _, live = mutated_oracle ~sigma data in
+    List.iter apply ops;
+    live ()
   in
   let rebuilt =
     Secidx.Static_index.instance (device ()) ~sigma:(sigma + 1) mut
@@ -2970,15 +2746,16 @@ let wal_crash_trial ~config ~sigma ~data ~batches ~victim ~k ~torn ~double =
             prefix;
           if not !prefix_ok then `Wrong
           else begin
-            let apply_m, answer_m, live_len = mutated_oracle ~sigma data in
+            let apply_m, answer_m, live = mutated_oracle ~sigma data in
             Array.iteri
               (fun i op -> if i < replayed then apply_m op)
               issued_a;
+            let n = Array.length (live ()) in
             let wrong = ref false in
             for lo = 0 to sigma - 1 do
               for hi = lo to sigma - 1 do
                 let got =
-                  Indexing.Answer.to_posting ~n:(live_len ())
+                  Indexing.Answer.to_posting ~n
                     (Wal.Store.query recovered ~lo ~hi)
                 in
                 if not (Cbitmap.Posting.equal got (answer_m ~lo ~hi)) then
@@ -3101,7 +2878,7 @@ let wal_crash_campaign ~smoke =
     [ ("log", phase_count "log"); ("flush", phase_count "flush");
       ("compact", phase_count "compact") ] )
 
-let wal_run ~smoke () =
+let wal_run ~smoke =
   header "crash-safe write path (--wal)";
   let rows, block_bits = wal_frontier ~smoke in
   table
@@ -3150,74 +2927,64 @@ let wal_run ~smoke () =
     mismatches = 0 && yi_violations = [] && lost_acks = 0 && wrong = 0
     && double_failures = 0 && trials >= 200 && fired > 0 && phase_covered
   in
-  J.to_file "BENCH_PR8.json"
-    (J.Obj
-       [
-         ("pr", J.Int 8);
-         ("label", J.String "WAL + leveled merging: frontier and crash sweep");
-         ("smoke", J.Bool smoke);
-         ( "frontier",
-           J.List
-             (List.map
-                (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
-                  J.Obj
-                    [
-                      ("flush_threshold", J.Int thr);
-                      ("fanout", J.Int f);
-                      ("group", J.Int grp);
-                      ("update_ios_per_op", J.Float upd);
-                      ("updates_per_write_io", J.Float upio);
-                      ("avg_query_ios", J.Float q);
-                      ("mismatches", J.Int miss);
-                      ("size_bits", J.Int size);
-                      ("wal_bits", J.Int walb);
-                      ("flushes", J.Int fl);
-                      ("compactions", J.Int co);
-                      ("levels", J.List (List.map (fun c -> J.Int c) lc));
-                    ])
-                rows) );
-         ( "yi_envelope",
-           J.Obj
-             [
-               ("block_bits", J.Int block_bits);
-               ("c", J.Float c);
-               ("slack", J.Float slack);
-               ("violations", J.Int (List.length yi_violations));
-             ] );
-         ( "crash",
-           J.Obj
-             [
-               ("trials", J.Int trials);
-               ("fired", J.Int fired);
-               ("no_fire", J.Int no_fire);
-               ("lost_acks", J.Int lost_acks);
-               ("wrong_answers", J.Int wrong);
-               ("double_crash_trials", J.Int double_trials);
-               ("double_crash_failures", J.Int double_failures);
-               ( "by_phase",
-                 J.Obj (List.map (fun (p, c) -> (p, J.Int c)) phases) );
-             ] );
-         ( "gate",
-           J.Obj
-             [
-               ("mismatches", J.Int mismatches);
-               ("yi_violations", J.Int (List.length yi_violations));
-               ("lost_acks", J.Int lost_acks);
-               ("wrong_answers", J.Int wrong);
-               ("double_crash_failures", J.Int double_failures);
-               ("min_trials", J.Int 200);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR8.json\n";
-  if not pass then begin
-    fmt
-      "BENCH_PR8 gate FAILED: mismatches=%d yi_violations=%d lost_acks=%d \
-       wrong=%d double_failures=%d trials=%d phase_covered=%b\n"
-      mismatches (List.length yi_violations) lost_acks wrong double_failures
-      trials phase_covered;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 8);
+      ("label", J.String "WAL + leveled merging: frontier and crash sweep");
+      ("smoke", J.Bool smoke);
+      ( "frontier",
+        J.List
+          (List.map
+             (fun (thr, f, grp, upd, upio, q, miss, size, walb, fl, co, lc) ->
+               J.Obj
+                 [
+                   ("flush_threshold", J.Int thr);
+                   ("fanout", J.Int f);
+                   ("group", J.Int grp);
+                   ("update_ios_per_op", J.Float upd);
+                   ("updates_per_write_io", J.Float upio);
+                   ("avg_query_ios", J.Float q);
+                   ("mismatches", J.Int miss);
+                   ("size_bits", J.Int size);
+                   ("wal_bits", J.Int walb);
+                   ("flushes", J.Int fl);
+                   ("compactions", J.Int co);
+                   ("levels", J.List (List.map (fun c -> J.Int c) lc));
+                 ])
+             rows) );
+      ( "yi_envelope",
+        J.Obj
+          [
+            ("block_bits", J.Int block_bits);
+            ("c", J.Float c);
+            ("slack", J.Float slack);
+            ("violations", J.Int (List.length yi_violations));
+          ] );
+      ( "crash",
+        J.Obj
+          [
+            ("trials", J.Int trials);
+            ("fired", J.Int fired);
+            ("no_fire", J.Int no_fire);
+            ("lost_acks", J.Int lost_acks);
+            ("wrong_answers", J.Int wrong);
+            ("double_crash_trials", J.Int double_trials);
+            ("double_crash_failures", J.Int double_failures);
+            ( "by_phase",
+              J.Obj (List.map (fun (p, c) -> (p, J.Int c)) phases) );
+          ] );
+      ( "gate",
+        J.Obj
+          [
+            ("mismatches", J.Int mismatches);
+            ("yi_violations", J.Int (List.length yi_violations));
+            ("lost_acks", J.Int lost_acks);
+            ("wrong_answers", J.Int wrong);
+            ("double_crash_failures", J.Int double_failures);
+            ("min_trials", J.Int 200);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --metrics (PR 9 tentpole): the production metrics plane end to end.
@@ -3240,7 +3007,7 @@ let wal_run ~smoke () =
    The registry scrape lands in BENCH_PR9.json (JSON) and
    METRICS_PR9.prom (Prometheus text exposition). *)
 
-let metrics_run ~smoke () =
+let metrics_run ~smoke =
   header "production metrics plane (--metrics)";
   Obs.Metrics.reset ();
   Obs.Metrics.set_clock Unix.gettimeofday;
@@ -3251,34 +3018,7 @@ let metrics_run ~smoke () =
   assert (not (Obs.Trace.enabled ()));
   let iters = if smoke then 3 else 15 in
   let count = if smoke then 20_000 else 100_000 in
-  let rng = Hashing.Universal.Rng.create ~seed:7 in
-  let values = Array.make count 0 in
-  let v = ref (-1) in
-  for i = 0 to count - 1 do
-    v := !v + 1 + Hashing.Universal.Rng.below rng 200;
-    values.(i) <- !v
-  done;
-  let posting = Cbitmap.Posting.of_sorted_array values in
-  let buf = Cbitmap.Gap_codec.to_buf posting in
-  let out = Array.make count 0 in
-  let engine =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let d = Bitio.Decoder.of_bitbuf buf in
-        Cbitmap.Gap_codec.decode_into d ~count out;
-        sink := !sink lxor out.(count - 1))
-  in
-  let perbit =
-    time_per_item_best ~iters ~items:count (fun () ->
-        let r = Bitio.Reader.of_bitbuf buf in
-        let last = ref (-1) in
-        for i = 0 to count - 1 do
-          let gap = Bitio.Codes.Naive.decode_gamma r in
-          let p = if !last < 0 then gap - 1 else !last + gap in
-          Array.unsafe_set out i p;
-          last := p
-        done;
-        sink := !sink lxor out.(count - 1))
-  in
+  let engine, perbit = decode_race ~iters (gap_positions count) in
   let decode_speedup = perbit /. engine in
   let decode_gate_min = if smoke then 1.0 else 4.0 in
   let decode_pass = decode_speedup >= decode_gate_min in
@@ -3358,11 +3098,11 @@ let metrics_run ~smoke () =
   (* 4. Domains-mode serving with tail attribution. *)
   let n = if smoke then 4096 else 16384 and sigma = 256 in
   let g = Workload.Gen.zipf ~seed:6 ~n ~sigma ~theta:1.0 () in
-  let builder = List.find (fun b -> b.b_name = "static") all_builders in
+  let builder = List.hd (Registry.named [ "static" ]) in
   let shards =
     Serve.Shard.build ~shards:2
       ~make_device:(fun _ -> device ~pool_policy:`Segmented ())
-      ~build:builder.b_build ~sigma g.Workload.Gen.data
+      ~build:builder.Registry.b_build ~sigma g.Workload.Gen.data
   in
   let router = Serve.Router.create ~mode:Serve.Router.Domains shards in
   let count = if smoke then 4_000 else 20_000 in
@@ -3433,71 +3173,60 @@ let metrics_run ~smoke () =
   let pass =
     decode_pass && overhead_pass && attribution_sum_pass && trace_pass
   in
-  J.to_file "BENCH_PR9.json"
-    (J.Obj
-       [
-         ("pr", J.Int 9);
-         ("label", J.String "production metrics plane, tail attribution");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("builder", J.String builder.b_name);
-         ( "serve",
-           J.Obj
-             [
-               ("queries", J.Int r.Serve.Sim.completed);
-               ("throughput_qps", J.Float r.Serve.Sim.throughput);
-               ("batches", J.Int r.Serve.Sim.batches);
-               ("max_batch", J.Int r.Serve.Sim.max_batch);
-               ("latency", Obs.Histogram.to_json r.Serve.Sim.latency);
-             ] );
-         ( "attribution",
-           J.Obj
-             [
-               ("quantile", J.Float a.Serve.Sim.quantile);
-               ("threshold_s", J.Float a.Serve.Sim.threshold);
-               ("tail_queries", J.Int a.Serve.Sim.tail_queries);
-               ("tail_seconds", J.Float a.Serve.Sim.tail_seconds);
-               ("components_sum_s", J.Float comp_sum);
-               ( "components",
-                 J.List
-                   (List.map
-                      (fun (nm, s) ->
-                        J.Obj
-                          [ ("name", J.String nm); ("seconds", J.Float s) ])
-                      a.Serve.Sim.components) );
-             ] );
-         ("metrics", Obs.Metrics.to_json ());
-         ( "gate",
-           J.Obj
-             [
-               ( "decode_race",
-                 J.Obj
-                   [
-                     ("value", J.Float decode_speedup);
-                     ("min", J.Float decode_gate_min);
-                     ("pass", J.Bool decode_pass);
-                   ] );
-               ("counter_overhead_pct", J.Float counter_overhead_pct);
-               ("counter_overhead_max_pct", J.Float overhead_max);
-               ("overhead_pass", J.Bool overhead_pass);
-               ("attribution_sum_pass", J.Bool attribution_sum_pass);
-               ("trace_lint", Obs.Report.lint_to_json lint);
-               ("unmatched_spans", J.Int lint.Obs.Report.lint_unmatched);
-               ("trace_pass", J.Bool trace_pass);
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR9.json + TRACE_PR9.trace.json + METRICS_PR9.prom \
-       (sink=%d)\n"
-    (!sink land 1);
-  if not pass then begin
-    fmt
-      "BENCH_PR9 gate FAILED: decode=%.2fx overhead=%.2f%% attr_sum=%b \
-       trace=%b\n"
-      decode_speedup counter_overhead_pct attribution_sum_pass trace_pass;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 9);
+      ("label", J.String "production metrics plane, tail attribution");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ("builder", J.String builder.Registry.b_name);
+      ( "serve",
+        J.Obj
+          [
+            ("queries", J.Int r.Serve.Sim.completed);
+            ("throughput_qps", J.Float r.Serve.Sim.throughput);
+            ("batches", J.Int r.Serve.Sim.batches);
+            ("max_batch", J.Int r.Serve.Sim.max_batch);
+            ("latency", Obs.Histogram.to_json r.Serve.Sim.latency);
+          ] );
+      ( "attribution",
+        J.Obj
+          [
+            ("quantile", J.Float a.Serve.Sim.quantile);
+            ("threshold_s", J.Float a.Serve.Sim.threshold);
+            ("tail_queries", J.Int a.Serve.Sim.tail_queries);
+            ("tail_seconds", J.Float a.Serve.Sim.tail_seconds);
+            ("components_sum_s", J.Float comp_sum);
+            ( "components",
+              J.List
+                (List.map
+                   (fun (nm, s) ->
+                     J.Obj
+                       [ ("name", J.String nm); ("seconds", J.Float s) ])
+                   a.Serve.Sim.components) );
+          ] );
+      ("metrics", Obs.Metrics.to_json ());
+      ( "gate",
+        J.Obj
+          [
+            ( "decode_race",
+              J.Obj
+                [
+                  ("value", J.Float decode_speedup);
+                  ("min", J.Float decode_gate_min);
+                  ("pass", J.Bool decode_pass);
+                ] );
+            ("counter_overhead_pct", J.Float counter_overhead_pct);
+            ("counter_overhead_max_pct", J.Float overhead_max);
+            ("overhead_pass", J.Bool overhead_pass);
+            ("attribution_sum_pass", J.Bool attribution_sum_pass);
+            ("trace_lint", Obs.Report.lint_to_json lint);
+            ("unmatched_spans", J.Int lint.Obs.Report.lint_unmatched);
+            ("trace_pass", J.Bool trace_pass);
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* --planner: PR 10 gate — the cost-based multi-attribute planner.
@@ -3521,7 +3250,7 @@ let metrics_run ~smoke () =
       cardinality, all take the directory fast path, and decode zero
       payload bits: phase_payload_total must not move across the
       whole COUNT campaign. *)
-let planner_run ~smoke () =
+let planner_run ~smoke =
   header "cost-based planner (--planner)";
   Obs.Metrics.reset ();
   let n = if smoke then 20_000 else 100_000 in
@@ -3632,92 +3361,135 @@ let planner_run ~smoke () =
     count_trials !count_mismatches payload_delta fast_delta !count_bits;
 
   let pass = diff_pass && io_pass && count_pass in
-  J.to_file "BENCH_PR10.json"
-    (J.Obj
-       [
-         ("pr", J.Int 10);
-         ("label", J.String "cost-based planner, prefilters, COUNT fast path");
-         ("smoke", J.Bool smoke);
-         ("n", J.Int n);
-         ("sigma", J.Int sigma);
-         ("c_exact", J.Float cost.Planner.Cost.c_exact);
-         ("c_approx", J.Float cost.Planner.Cost.c_approx);
-         ("c_verify", J.Float cost.Planner.Cost.c_verify);
-         ("planner_io_reduction", J.Float reduction);
-         ("metrics", Obs.Metrics.to_json ());
-         ( "gate",
-           J.Obj
-             [
-               ( "differential",
-                 J.Obj
-                   [
-                     ("trials", J.Int trials);
-                     ("mismatches", J.Int !mismatches);
-                     ("pass", J.Bool diff_pass);
-                   ] );
-               ( "io",
-                 J.Obj
-                   [
-                     ("baseline_ios", J.Int !b_total);
-                     ("planner_ios", J.Int !p_total);
-                     ("value", J.Float reduction);
-                     ("min", J.Float io_gate_min);
-                     ("pass", J.Bool io_pass);
-                   ] );
-               ( "count",
-                 J.Obj
-                   [
-                     ("trials", J.Int count_trials);
-                     ("mismatches", J.Int !count_mismatches);
-                     ("payload_phases", J.Int payload_delta);
-                     ("fastpath_hits", J.Int fast_delta);
-                     ("bits_read", J.Int !count_bits);
-                     ("pass", J.Bool count_pass);
-                   ] );
-               ("pass", J.Bool pass);
-             ] );
-       ]);
-  fmt "wrote BENCH_PR10.json\n";
-  if not pass then begin
-    fmt "BENCH_PR10 gate FAILED: diff=%b io=%.2fx count=%b\n" diff_pass
-      reduction count_pass;
-    exit 1
-  end
+  J.Obj
+    [
+      ("pr", J.Int 10);
+      ("label", J.String "cost-based planner, prefilters, COUNT fast path");
+      ("smoke", J.Bool smoke);
+      ("n", J.Int n);
+      ("sigma", J.Int sigma);
+      ("c_exact", J.Float cost.Planner.Cost.c_exact);
+      ("c_approx", J.Float cost.Planner.Cost.c_approx);
+      ("c_verify", J.Float cost.Planner.Cost.c_verify);
+      ("planner_io_reduction", J.Float reduction);
+      ("metrics", Obs.Metrics.to_json ());
+      ( "gate",
+        J.Obj
+          [
+            ( "differential",
+              J.Obj
+                [
+                  ("trials", J.Int trials);
+                  ("mismatches", J.Int !mismatches);
+                  ("pass", J.Bool diff_pass);
+                ] );
+            ( "io",
+              J.Obj
+                [
+                  ("baseline_ios", J.Int !b_total);
+                  ("planner_ios", J.Int !p_total);
+                  ("value", J.Float reduction);
+                  ("min", J.Float io_gate_min);
+                  ("pass", J.Bool io_pass);
+                ] );
+            ( "count",
+              J.Obj
+                [
+                  ("trials", J.Int count_trials);
+                  ("mismatches", J.Int !count_mismatches);
+                  ("payload_phases", J.Int payload_delta);
+                  ("fastpath_hits", J.Int fast_delta);
+                  ("bits_read", J.Int !count_bits);
+                  ("pass", J.Bool count_pass);
+                ] );
+            ("pass", J.Bool pass);
+          ] );
+    ]
 
-(* --report: re-validate every committed BENCH_PR*.json structurally
-   and print the cross-PR headline trajectory (Obs.Report). *)
+(* ------------------------------------------------------------------ *)
+(* The gated campaigns.  Each returns its BENCH_PR*.json artifacts in
+   [artifacts] order; side files (traces, the Prometheus scrape) are
+   written by the campaign itself.  Every gate a campaign enforces is a
+   [pass] flag, error count or value/min pair inside its artifact, so
+   [Obs.Report.scan] is the one gate checker. *)
+
+type campaign = {
+  flag : string;
+  artifacts : string list;
+  run : smoke:bool -> J.t list;
+}
+
+let campaigns =
+  let one f ~smoke = [ f ~smoke ] in
+  [
+    {
+      flag = "--wallclock";
+      artifacts = [ "BENCH_PR1.json"; "BENCH_PR2.json" ];
+      run =
+        (fun ~smoke ->
+          let pr1 = wallclock ~smoke in
+          [ pr1; wallclock_pr2 ~smoke ]);
+    };
+    {
+      flag = "--faults";
+      artifacts = [ "BENCH_PR3.json" ];
+      run = one fault_campaign;
+    };
+    { flag = "--trace"; artifacts = [ "BENCH_PR4.json" ]; run = one trace_run };
+    { flag = "--batch"; artifacts = [ "BENCH_PR5.json" ]; run = one batch_run };
+    { flag = "--serve"; artifacts = [ "BENCH_PR6.json" ]; run = one serve_run };
+    {
+      flag = "--containers";
+      artifacts = [ "BENCH_PR7.json" ];
+      run = one containers_run;
+    };
+    { flag = "--wal"; artifacts = [ "BENCH_PR8.json" ]; run = one wal_run };
+    {
+      flag = "--metrics";
+      artifacts = [ "BENCH_PR9.json" ];
+      run = one metrics_run;
+    };
+    {
+      flag = "--planner";
+      artifacts = [ "BENCH_PR10.json" ];
+      run = one planner_run;
+    };
+  ]
+
+(* Writes each artifact and gates it; true when every scan is clean. *)
+let run_campaign ~smoke c =
+  List.fold_left2
+    (fun ok path json ->
+      J.to_file path json;
+      let failures = (Obs.Report.scan path).Obs.Report.failures in
+      fmt "wrote %s: %s\n" path (if failures = [] then "pass" else "FAIL");
+      List.iter (fmt "  gate FAILED %s\n") failures;
+      ok && failures = [])
+    true c.artifacts (c.run ~smoke)
+
+(* --report: re-validate every campaign's artifact structurally (a
+   missing one fails) and print the cross-PR headline trajectory. *)
 let report_run () =
   header "cross-PR regression report (--report)";
-  let files =
-    List.filter Sys.file_exists
-      (List.init 10 (fun i -> Printf.sprintf "BENCH_PR%d.json" (i + 1)))
-  in
-  let r = Obs.Report.run files in
+  let r = Obs.Report.run (List.concat_map (fun c -> c.artifacts) campaigns) in
   print_string (Obs.Report.render_table r);
-  if not (Obs.Report.pass r) then begin
-    fmt "report gate FAILED\n";
-    exit 1
-  end
+  Obs.Report.pass r
 
 (* --trace-lint <files>: balanced Begin/End per domain track in
    exported Chrome traces. *)
 let trace_lint_run files =
   header "chrome trace lint (--trace-lint)";
-  let failed =
-    List.fold_left
-      (fun acc f ->
-        let l = Obs.Report.lint_trace f in
-        let ok = Obs.Report.lint_pass l in
-        fmt "%s: %d events, %d begins, %d ends, %d domains, %d unmatched: %s\n"
-          l.Obs.Report.lint_path l.Obs.Report.events l.Obs.Report.begins
-          l.Obs.Report.ends l.Obs.Report.domains l.Obs.Report.lint_unmatched
-          (if ok then "ok" else "FAIL");
-        List.iter (fun m -> fmt "  %s\n" m) l.Obs.Report.lint_failures;
-        if ok then acc else acc + 1)
-      0 files
-  in
-  if files = [] then fmt "no trace files given\n";
-  if failed > 0 then exit 1
+  List.fold_left
+    (fun all_ok f ->
+      let l = Obs.Report.lint_trace f in
+      let ok = Obs.Report.lint_pass l in
+      fmt "%s: %d events, %d begins, %d ends, %d domains, %d unmatched: %s\n"
+        l.Obs.Report.lint_path l.Obs.Report.events l.Obs.Report.begins
+        l.Obs.Report.ends l.Obs.Report.domains l.Obs.Report.lint_unmatched
+        (if ok then "ok" else "FAIL");
+      List.iter (fun m -> fmt "  %s\n" m) l.Obs.Report.lint_failures;
+      all_ok && ok)
+    true files
 
 (* ------------------------------------------------------------------ *)
 
@@ -3728,66 +3500,52 @@ let experiments =
     ("e12", e12); ("e13", e13);
   ]
 
+let usage_error fmt_ =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf
+        "%s\n\
+         usage: main.exe [EXPERIMENT...] [CAMPAIGN...] [--smoke] [--report]\n\
+        \       main.exe --trace-lint TRACE.json...\n\
+         experiments: %s\n\
+         campaigns: %s\n\
+         exit codes: 0 clean, 1 a gate failed, 2 usage error\n"
+        msg
+        (String.concat " " (List.map fst experiments))
+        (String.concat " " (List.map (fun c -> c.flag) campaigns));
+      exit 2)
+    fmt_
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
-  let want_bechamel = List.mem "--bechamel" args in
-  let want_wallclock = List.mem "--wallclock" args in
-  let want_faults = List.mem "--faults" args in
-  let want_trace = List.mem "--trace" args in
-  let want_batch = List.mem "--batch" args in
-  let want_serve = List.mem "--serve" args in
-  let want_containers = List.mem "--containers" args in
-  let want_wal = List.mem "--wal" args in
-  let want_metrics = List.mem "--metrics" args in
-  let want_planner = List.mem "--planner" args in
-  let want_report = List.mem "--report" args in
-  let want_trace_lint = List.mem "--trace-lint" args in
-  let smoke = List.mem "--smoke" args in
-  let selected =
-    List.filter
-      (fun a ->
-        not
-          (List.mem a
-             [ "--bechamel"; "--wallclock"; "--faults"; "--trace"; "--batch";
-               "--serve"; "--containers"; "--wal"; "--metrics"; "--planner";
-               "--report"; "--trace-lint"; "--smoke" ]))
-      args
+  let args = List.filter (( <> ) "--") (List.tl (Array.to_list Sys.argv)) in
+  let ok =
+    if List.mem "--trace-lint" args then
+      (* --trace-lint claims the other arguments as trace files. *)
+      match List.filter (( <> ) "--trace-lint") args with
+      | [] -> usage_error "--trace-lint needs at least one trace file"
+      | files -> trace_lint_run files
+    else begin
+      let known a =
+        a = "--smoke" || a = "--report"
+        || List.mem_assoc a experiments
+        || List.exists (fun c -> c.flag = a) campaigns
+      in
+      (match List.filter (fun a -> not (known a)) args with
+      | [] -> ()
+      | bad -> usage_error "unknown argument %s" (String.concat " " bad));
+      let smoke = List.mem "--smoke" args and report = List.mem "--report" args in
+      let selected = List.filter (fun c -> List.mem c.flag args) campaigns in
+      let named = List.filter_map (fun a -> List.assoc_opt a experiments) args in
+      List.iter
+        (fun f -> f ())
+        (if named = [] && selected = [] && not report then
+           List.map snd experiments
+         else named);
+      let ok =
+        List.fold_left (fun ok c -> run_campaign ~smoke c && ok) true selected
+      in
+      ((not report) || report_run ()) && ok
+    end
   in
-  let to_run =
-    (* --trace-lint claims the positional args as trace files. *)
-    if want_trace_lint then []
-    else if selected = [] then
-      if want_wallclock || want_bechamel || want_faults || want_trace
-         || want_batch || want_serve || want_containers || want_wal
-         || want_metrics || want_planner || want_report
-      then []
-      else experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name experiments with
-          | Some f -> Some (name, f)
-          | None ->
-              fmt "unknown experiment %s (known: %s)\n" name
-                (String.concat " " (List.map fst experiments));
-              None)
-        selected
-  in
-  List.iter (fun (_, f) -> f ()) to_run;
-  if want_bechamel then bechamel ();
-  if want_wallclock then begin
-    wallclock ~smoke ();
-    wallclock_pr2 ~smoke ()
-  end;
-  if want_faults then fault_campaign ~smoke ();
-  if want_trace then trace_run ~smoke ();
-  if want_batch then batch_run ~smoke ();
-  if want_serve then serve_run ~smoke ();
-  if want_containers then containers_run ~smoke ();
-  if want_wal then wal_run ~smoke ();
-  if want_metrics then metrics_run ~smoke ();
-  if want_planner then planner_run ~smoke ();
-  if want_report then report_run ();
-  if want_trace_lint then trace_lint_run selected;
-  fmt "\nbench: done\n"
+  fmt "\nbench: done\n";
+  if not ok then exit 1

@@ -1,14 +1,14 @@
 (* Cross-PR regression reports over the committed BENCH_PR*.json
    trajectory (PR 9).
 
-   Every bench section since PR 1 writes its own artifact with its own
+   Every bench campaign since PR 1 writes its own artifact with its own
    gate thresholds baked into the file ("pass" flags, violation
-   counters, measured-vs-minimum pairs).  This module re-validates all
-   of them at once — independently of the bench binaries that wrote
-   them — so CI catches a regressed artifact no matter which PR's
-   section produced it, and renders the headline numbers (wallclock
-   speedups, I/O reductions, fitted envelope constants) as one
-   trajectory table.
+   counters, measured-vs-minimum pairs).  [scan] is the one gate
+   checker: the bench harness gates each artifact through it as the
+   campaign writes it, and [run] re-validates the whole set at once, so
+   CI catches a regressed artifact no matter which PR's campaign
+   produced it, and renders the headline numbers (wallclock speedups,
+   I/O reductions, fitted envelope constants) as one trajectory table.
 
    The checks are structural, not schema-bound, so PR 10's artifact is
    covered the day it lands:
@@ -19,16 +19,13 @@
      ([violations], [silent_wrong], [lost_acks], [wrong_answers],
      [mismatches], ...) must be 0;
    - every object carrying both a measured [value] and a gate [min]
-     must satisfy [value >= min / slack]; the serve gate's
+     must satisfy [value >= min]; the serve gate's
      [speedup_measured]/[speedup_min] pair is checked the same way,
      but only when its own [speedup_enforced] flag is true (single-
      core hosts legitimately fail it).
 
-   [slack] (default 1.0) loosens only the measured-vs-min checks:
-   thresholds inside the files were already enforced by the bench that
-   wrote them, so re-checking at slack 1.0 is exact reproduction, and
-   CI can pass a small factor (e.g. 1.25) to tolerate host noise when
-   artifacts are regenerated on the runner. *)
+   The checks are exact: a gate minimum means what the campaign that
+   wrote it enforced. *)
 
 type file_report = {
   path : string;
@@ -88,21 +85,20 @@ let elt_label i v =
   | Some (Json.String s) -> s
   | _ -> string_of_int i
 
-let walk ~slack root =
+let walk root =
   let metrics = ref [] and failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let rec go path v =
     let sub k = if path = "" then k else path ^ "." ^ k in
     match v with
     | Json.Obj fields ->
-        (* Measured-vs-minimum pairs, slack-loosened. *)
+        (* Measured-vs-minimum pairs. *)
         (match (Json.member "value" v, Json.member "min" v) with
         | Some mv, Some mn -> (
             match (num mv, num mn) with
             | Some value, Some min_ ->
-                if value < (min_ /. slack) -. 1e-9 then
-                  fail "%s: value %g below min %g (slack %g)" path value min_
-                    slack
+                if value < min_ -. 1e-9 then
+                  fail "%s: value %g below min %g" path value min_
             | _ -> ())
         | _ -> ());
         (match
@@ -116,9 +112,8 @@ let walk ~slack root =
             in
             match (num mv, num mn) with
             | Some value, Some min_ when enforced ->
-                if value < (min_ /. slack) -. 1e-9 then
-                  fail "%s: speedup %g below min %g (slack %g)" path value min_
-                    slack
+                if value < min_ -. 1e-9 then
+                  fail "%s: speedup %g below min %g" path value min_
             | _ -> ())
         | _ -> ());
         List.iter
@@ -141,7 +136,7 @@ let walk ~slack root =
   go "" root;
   (List.rev !metrics, List.rev !failures)
 
-let scan ?(slack = 1.0) path =
+let scan path =
   match Json.of_file path with
   | Error msg ->
       {
@@ -153,7 +148,7 @@ let scan ?(slack = 1.0) path =
         failures = [ Printf.sprintf "%s: unreadable (%s)" path msg ];
       }
   | Ok root ->
-      let metrics, failures = walk ~slack root in
+      let metrics, failures = walk root in
       let pr =
         match Json.member "pr" root with Some (Json.Int i) -> i | _ -> -1
       in
@@ -168,9 +163,9 @@ let scan ?(slack = 1.0) path =
       let failures = List.map (fun f -> path ^ ": " ^ f) failures in
       { path; pr; label; smoke; metrics; failures }
 
-let run ?slack paths =
+let run paths =
   let files =
-    List.map (scan ?slack) paths
+    List.map scan paths
     |> List.sort (fun a b -> compare (a.pr, a.path) (b.pr, b.path))
   in
   { files; failures = List.concat_map (fun (f : file_report) -> f.failures) files }

@@ -6,7 +6,7 @@
     every file structurally — any [pass]/[*_pass] boolean must be
     true, any error-count field ([violations], [silent_wrong],
     [lost_acks], ...) must be 0, and any [value]/[min] pair must hold
-    up to the slack factor — and extracts the headline numbers
+    exactly — and extracts the headline numbers
     (speedups, I/O reductions, envelope constants) into one trajectory
     table. *)
 
@@ -21,13 +21,12 @@ type file_report = {
 
 type t = { files : file_report list; failures : string list }
 
-val scan : ?slack:float -> string -> file_report
-(** Validate one artifact.  [slack] (default 1.0) divides gate minima
-    in measured-vs-min checks — 1.0 re-checks exactly what the bench
-    enforced; CI may loosen slightly for runner noise.  An unreadable
-    file reports one failure rather than raising. *)
+val scan : string -> file_report
+(** Validate one artifact: the one gate check behind every bench
+    campaign and [--report].  An unreadable file reports one failure
+    rather than raising. *)
 
-val run : ?slack:float -> string list -> t
+val run : string list -> t
 (** {!scan} every path; files sorted by PR number. *)
 
 val pass : t -> bool

@@ -627,7 +627,33 @@ let test_report_scan () =
   Alcotest.(check bool) "missing file is a failure" false
     (Obs.Report.pass (Obs.Report.run [ "no_such_bench.json" ]));
   Sys.remove good;
-  Sys.remove bad
+  Sys.remove bad;
+  (* Every field a bench gate hangs on is enforced by the scan alone:
+     an artifact that is clean (top-level pass included) but for that
+     one field fails exactly once.  [digests_agree] is not scanned by
+     name; it is a conjunct of BENCH_PR6's gate [pass]. *)
+  let failures_with field =
+    let path = Filename.temp_file "bench_field" ".json" in
+    to_file path
+      (Obj [ ("pr", Int 44); ("pass", Bool true); ("gate", Obj [ field ]) ]);
+    let n = List.length (Obs.Report.scan path).Obs.Report.failures in
+    Sys.remove path;
+    n
+  in
+  List.iter
+    (fun (key, clean, broken) ->
+      Alcotest.(check int) (key ^ " clean") 0 (failures_with (key, clean));
+      Alcotest.(check int) (key ^ " broken") 1 (failures_with (key, broken)))
+    [
+      ("silent_wrong", Int 0, Int 1);
+      ("answer_mismatches", Int 0, Int 1);
+      ("mismatches", Int 0, Int 1);
+      ("lost_acks", Int 0, Int 1);
+      ("wrong_answers", Int 0, Int 1);
+      ("payload_phases", Int 0, Int 1);
+      ("attribution_sum_pass", Bool true, Bool false);
+      ("pass", Bool true, Bool false);
+    ]
 
 let test_trace_lint () =
   (* a real multi-domain export lints clean *)
