@@ -53,7 +53,7 @@ val remaining : t -> int
 val seek : t -> int -> unit
 
 (** [skip t n] advances [n >= 0] bits without reading (and without
-    charging, matching [Reader.skip]). *)
+    charging). *)
 val skip : t -> int -> unit
 
 (** [peek t w] returns the next [w] bits ([0 <= w <= 62]),

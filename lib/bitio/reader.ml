@@ -29,14 +29,3 @@ let of_bytes ?(pos = 0) data =
     v
   in
   { read_bits; bit_pos = (fun () -> !p); seek = (fun q -> p := q) }
-
-let of_decoder d =
-  {
-    read_bits = (fun w -> Decoder.read_bits d w);
-    bit_pos = (fun () -> Decoder.bit_pos d);
-    seek = (fun q -> Decoder.seek d q);
-  }
-
-let skip t w =
-  if w < 0 then invalid_arg "Reader.skip";
-  t.seek (t.bit_pos () + w)

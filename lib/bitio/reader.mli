@@ -1,10 +1,10 @@
-(** Abstract sequential bit reader (compatibility shim).
+(** Abstract sequential bit reader: the carrier of the retained
+    per-bit reference decoders ({!Codes.Naive},
+    [Gap_codec.decode_ref]) and of [Device.cursor].
 
-    Since PR 2 the hot decode paths run on the concrete buffered
-    {!Decoder}; this closure record remains for callers that want an
-    abstract reader (and as the carrier of the retained per-bit
-    reference decoders in {!Codes.Naive}).  [of_decoder] adapts a
-    buffered decoder to the old interface. *)
+    Since PR 2 every decode path that answers queries runs on the
+    concrete buffered {!Decoder}; this closure record is the test
+    oracle's interface and nothing else. *)
 
 type t = {
   read_bits : int -> int;
@@ -24,10 +24,3 @@ val of_bitbuf : ?pos:int -> Bitbuf.t -> t
     [read_bits] is word-at-a-time ({!Bitops.get_bits}) with the
     original width/bounds checks. *)
 val of_bytes : ?pos:int -> bytes -> t
-
-(** Adapt a buffered {!Decoder} to the closure interface.  The two
-    views share position state. *)
-val of_decoder : Decoder.t -> t
-
-(** [skip t w] discards the next [w] bits ([w >= 0], may exceed 62). *)
-val skip : t -> int -> unit

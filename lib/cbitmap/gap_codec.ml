@@ -90,9 +90,9 @@ let stream ?code d ~count = stream_from ?code d ~count ~last:(-1)
 
 (* --- retained per-bit reference ------------------------------------ *)
 
-(* Seed decode paths over the closure [Reader] and [Codes.Naive],
-   kept for differential tests, the Stats-parity regression and the
-   BENCH_PR2 before/after comparison. *)
+(* Seed decode path over the closure [Reader] and [Codes.Naive]: the
+   oracle that differential tests and the BENCH_PR2 Stats-parity
+   check compare the word decoder against. *)
 let decode_value_ref code r =
   match code with
   | Gamma -> Bitio.Codes.Naive.decode_gamma r
@@ -110,21 +110,6 @@ let decode_ref ?(code = Gamma) r ~count =
     last := p
   done;
   Posting.adopt_sorted_array out
-
-let stream_from_ref ?(code = Gamma) r ~count ~last =
-  let remaining = ref count in
-  let last = ref last in
-  fun () ->
-    if !remaining <= 0 then None
-    else begin
-      decr remaining;
-      let gap = decode_value_ref code r in
-      let p = if !last < 0 then gap - 1 else !last + gap in
-      last := p;
-      Some p
-    end
-
-let stream_ref ?code r ~count = stream_from_ref ?code r ~count ~last:(-1)
 
 let append_size ?(code = Gamma) ~last p =
   let gap = if last < 0 then p + 1 else p - last in

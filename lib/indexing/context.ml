@@ -1,7 +1,4 @@
-type t = {
-  device : Iosim.Device.t;
-  mutable reference_decode : bool;
-}
+type t = { device : Iosim.Device.t }
 
-let create device = { device; reference_decode = false }
+let create device = { device }
 let device t = t.device

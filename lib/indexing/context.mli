@@ -1,34 +1,21 @@
 (** Per-query / per-shard execution context (PR 6).
 
     Everything mutable that a query execution touches outside its own
-    stack frame lives either on the {!Iosim.Device} (stats, pool,
-    generation) or here.  Before this module, the decode-path selector
-    was a module-level [ref] in {!Stream_table} — invisible shared
-    state that every index in the process raced on.  Confined to a
-    context, two shards of one logical index (each with its own device
-    and its own context) can execute queries on two domains without
-    sharing a single mutable word: the serving layer in [lib/serve]
-    relies on exactly this.
+    stack frame lives on the {!Iosim.Device} (stats, pool, generation);
+    the context names that device.  Two shards of one logical index
+    (each with its own device and its own context) can execute queries
+    on two domains without sharing a single mutable word: the serving
+    layer in [lib/serve] relies on exactly this.
 
     The context is created once per instance (so one per shard) and
-    threaded through the instance's stream tables at build time; every
-    decode consults the context it was built with, never a global. *)
+    threaded through the instance's stream tables at build time, which
+    refuse a context that wraps a different device. *)
 
-type t = {
-  device : Iosim.Device.t;
-      (** The device this context executes against.  One device = one
-          shard; the device's own counters and pool are already
-          per-shard state. *)
-  mutable reference_decode : bool;
-      (** When set, payload streams decode through the retained
-          per-bit path ([Codes.Naive] over a closure cursor) instead
-          of the buffered word decoder — the before/after switch for
-          the BENCH_PR2 end-to-end comparison and the Stats-parity
-          regression tests.  Per-context, so flipping it on one
-          instance cannot change another shard's decode path. *)
-}
+type t
 
 val create : Iosim.Device.t -> t
 
-(** The context's device (convenience accessor). *)
+(** The device this context executes against.  One device = one
+    shard; the device's own counters and pool are already per-shard
+    state. *)
 val device : t -> Iosim.Device.t

@@ -22,8 +22,6 @@ type t = {
   integrity : Integrity.t option;
 }
 
-let set_reference_decode t v = t.ctx.Context.reference_decode <- v
-
 let traced_query t ~lo ~hi =
   Obs.Metrics.incr m_queries;
   Obs.Metrics.time m_query_seconds (fun () ->

@@ -64,10 +64,6 @@ val query_count : t -> lo:int -> hi:int -> int * Iosim.Stats.t
     (read them via [Iosim.Device.stats] at quiescence). *)
 val query_batch_warm : t -> (int * int) array -> Answer.t array
 
-(** Flip the instance's decode path (see {!Context.t}
-    [reference_decode]); affects only this instance's context. *)
-val set_reference_decode : t -> bool -> unit
-
 (** Outcome of a {!verified_query}: the answer over verified extents;
     the answer after a successful counted repair (with the repair cost
     in block I/Os); or typed, detected corruption.  Never a silently

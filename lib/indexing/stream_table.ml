@@ -24,7 +24,7 @@ let build ?ctx ?(code = Cbitmap.Gap_codec.Gamma) ?(layout = Gap) device
     match ctx with
     | None -> Context.create device
     | Some c ->
-        if c.Context.device != device then
+        if Context.device c != device then
           invalid_arg "Stream_table.build: ctx wraps a different device";
         c
   in
@@ -129,50 +129,34 @@ let dir_entry t i =
 
 let count t i = snd (dir_entry t i)
 
-(* Decode-path selection lives on the table's execution context (per
-   instance, hence per shard) — see [Context].  When set, payload
-   streams are decoded through the retained per-bit path (closure
-   cursor + [Codes.Naive]) instead of the buffered word decoder — the
-   before/after switch for the BENCH_PR2 end-to-end comparison and the
-   Stats-parity regression test.  Counters other than [pool_hits] are
-   identical either way. *)
+let decoder_at t off =
+  Iosim.Device.decoder t.device ~pos:(t.payload.Iosim.Device.off + off)
+
 let stream_of_entry t (off, count) =
-  let pos = t.payload.Iosim.Device.off + off in
+  let d = decoder_at t off in
   match t.layout with
   | Hybrid { universe; chunk } ->
-      (* Container payloads are self-describing (the directory count is
-         not needed to find the end) and always decode through the
-         word decoder — there is no retained per-bit container path. *)
-      let d = Iosim.Device.decoder t.device ~pos in
+      (* Container payloads are self-describing: the directory count is
+         not needed to find the end. *)
       Cbitmap.Container.stream_chunked ~universe ~chunk d
-  | Gap ->
-      if t.ctx.Context.reference_decode then
-        let r = Iosim.Device.cursor t.device ~pos in
-        Cbitmap.Gap_codec.stream_ref ~code:t.code r ~count
-      else
-        let d = Iosim.Device.decoder t.device ~pos in
-        Cbitmap.Gap_codec.stream ~code:t.code d ~count
+  | Gap -> Cbitmap.Gap_codec.stream ~code:t.code d ~count
 
 (* Phase spans: directory entries are decoded eagerly (the "directory"
    phase); the payload streams decode lazily inside the merge, so the
    merge span carries the "payload" decode I/O.
 
-   A single [Gap] stream on the word decoder decodes in bulk straight
-   into one [count]-sized array ([Gap_codec.decode]): the same
-   codewords through the same decoder calls as the pull stream, so
-   the device is charged identically, without boxing each position. *)
+   A single [Gap] stream decodes in bulk straight into one
+   [count]-sized array ([Gap_codec.decode]): the same codewords
+   through the same decoder calls as the pull stream, so the device is
+   charged identically, without boxing each position. *)
 let read_one t i =
   let ((off, count) as entry) =
     Obs.Metrics.phase "directory" (fun () -> dir_entry t i)
   in
   Obs.Metrics.phase "payload" (fun () ->
       match t.layout with
-      | Gap when not t.ctx.Context.reference_decode ->
-          let d =
-            Iosim.Device.decoder t.device ~pos:(t.payload.Iosim.Device.off + off)
-          in
-          Cbitmap.Gap_codec.decode ~code:t.code d ~count
-      | Gap | Hybrid _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
+      | Gap -> Cbitmap.Gap_codec.decode ~code:t.code (decoder_at t off) ~count
+      | Hybrid _ -> Cbitmap.Merge.to_posting (stream_of_entry t entry))
 
 let streams t ~lo ~hi =
   if lo < 0 || hi >= t.nstreams || lo > hi then

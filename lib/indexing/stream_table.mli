@@ -24,10 +24,8 @@ type layout = Gap | Hybrid of { universe : int; chunk : int }
     decode (see {!Context}); tables belonging to one instance should
     share the instance's context so per-query knobs apply to all of
     them.  Defaults to a fresh [Context.create device].  [layout]
-    defaults to [Gap]; [code] only applies to the [Gap] layout, and
-    [Context.reference_decode] likewise (hybrid payloads always decode
-    through the word decoder).  Raises [Invalid_argument] if [ctx]
-    wraps a different device. *)
+    defaults to [Gap]; [code] only applies to the [Gap] layout.
+    Raises [Invalid_argument] if [ctx] wraps a different device. *)
 val build :
   ?ctx:Context.t ->
   ?code:Cbitmap.Gap_codec.code ->
@@ -47,7 +45,7 @@ val device : t -> Iosim.Device.t
 val count : t -> int -> int
 
 (** Decode stream [i] (counted I/O: directory + stream bits).  A
-    [Gap] stream on the word decoder decodes in bulk into one array;
+    [Gap] stream decodes in bulk into one array;
     the device charges equal those of draining {!streams}[ ~lo:i ~hi:i].
     Raises [Secidx_error.Corrupt] when the directory entry points past
     the payload or, for [Gap], counts more elements than the payload
@@ -89,11 +87,5 @@ val size_bits : t -> int
 (** Payload only (sum of compressed stream sizes). *)
 val payload_bits : t -> int
 
-(** The execution context the table decodes under.  Flip
-    [(ctx t).reference_decode] to route payload decodes through the
-    retained per-bit reference (closure cursor + seed codecs) instead
-    of the buffered word decoder — the BENCH_PR2 before/after switch;
-    [block_reads]/[bits_read] are identical in both modes.  Was a
-    module-level [ref] before PR 6; per-context now, so shards on
-    different domains never share it. *)
+(** The execution context the table was built with. *)
 val ctx : t -> Context.t

@@ -102,7 +102,9 @@ val read_region : t -> region -> Bitio.Bitbuf.t
 val read_region_naive : t -> region -> Bitio.Bitbuf.t
 
 (** Sequential counted reader starting at absolute bit [pos]; seeks
-    are allowed (each block entered is a counted access). *)
+    are allowed (each block entered is a counted access).  Not on any
+    query path: the oracle that charge-parity tests compare
+    {!decoder} against. *)
 val cursor : t -> pos:int -> Bitio.Reader.t
 
 (** Buffered word-at-a-time counted decoder starting at absolute bit

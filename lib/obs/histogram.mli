@@ -1,6 +1,7 @@
 (** Fixed-size log-linear latency histogram (PR 6; shared home since
-    PR 9 — [Workload.Histogram] and the {!Metrics} registry both alias
-    this implementation, so there is exactly one quantile routine).
+    PR 9 — the serving simulator, the bench harness and the {!Metrics}
+    registry all use this implementation, so there is exactly one
+    quantile routine).
 
     Geometric buckets, [per_decade] per factor of ten between [lo] and
     [hi], plus underflow and overflow buckets.  Constant memory

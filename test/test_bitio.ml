@@ -68,7 +68,7 @@ let test_reader_of_bytes () =
   (* Wide, unaligned reads go through Bitops.get_bits now; the
      width/bounds checks must survive the rewrite. *)
   let r = Bitio.Reader.of_bytes (Bytes.of_string "\xf0\x0f\xaa\x55\xc3") in
-  Bitio.Reader.skip r 3;
+  ignore (r.Bitio.Reader.read_bits 3);
   Alcotest.(check int) "wide unaligned" 0b10000000011111010101001010101
     (r.Bitio.Reader.read_bits 29);
   Alcotest.(check int) "pos" 32 (r.Bitio.Reader.bit_pos ());

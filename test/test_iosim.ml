@@ -592,54 +592,70 @@ let test_decoder_gamma_charges_like_cursor () =
   Alcotest.(check int) "bits_read" s2.Iosim.Stats.bits_read
     s1.Iosim.Stats.bits_read
 
-(* Scripted Theorem 2 query trace: answers, [block_reads] and
-   [bits_read] are byte-identical whether the payload streams decode
-   through the buffered word engine or the retained per-bit
-   reference.  Decode speed must not change what the simulator
-   charges. *)
+let gap_codes =
+  [
+    ("gamma", Cbitmap.Gap_codec.Gamma);
+    ("delta", Cbitmap.Gap_codec.Delta);
+    ("rice3", Cbitmap.Gap_codec.Rice 3);
+    ("fibonacci", Cbitmap.Gap_codec.Fibonacci);
+  ]
+
+(* [f ()] and the counter delta it charged to [dev]. *)
+let charged dev f =
+  let st = Iosim.Device.stats dev in
+  let before = Iosim.Stats.snapshot st in
+  let p = f () in
+  (p, Iosim.Stats.diff ~before ~after:(Iosim.Stats.snapshot st))
+
+(* Theorem 2's payload decodes, stream by stream: the word decoder
+   ([Gap_codec.decode] over [Device.decoder]) and the retained per-bit
+   oracle ([Gap_codec.decode_ref] over [Device.cursor]), started at the
+   stream's payload offset on twin tables, return the same posting —
+   also [read_one]'s — and charge the same [block_reads] and
+   [bits_read], under every gap code.  Decode speed must not change
+   what the simulator charges.  [pool_hits] may differ: the word
+   decoder consumes in chunks.  The pool is small, so the streams
+   evict each other's blocks. *)
 let test_theorem2_trace_codec_parity () =
   let n = 3000 and sigma = 24 in
   let data = Array.init n (fun i -> ((i * i) + (i / 7)) mod sigma) in
-  let queries = [ (0, sigma - 1); (3, 9); (7, 7); (0, 0); (20, 23) ] in
-  let run reference =
-    let dev = device ~block_bits:512 ~mem_bits:(16 * 512) () in
-    let inst = Secidx.Static_index.instance dev ~sigma data in
-    Indexing.Instance.set_reference_decode inst reference;
-    List.map
-      (fun (lo, hi) ->
-        let answer, st = Indexing.Instance.query_cold inst ~lo ~hi in
-        ( Cbitmap.Posting.cardinal (Indexing.Answer.to_posting ~n answer),
-          st.Iosim.Stats.block_reads,
-          st.Iosim.Stats.bits_read ))
-      queries
-  in
-  let before = run true and after = run false in
-  List.iter2
-    (fun (c1, br1, bits1) (c2, br2, bits2) ->
-      Alcotest.(check int) "answer cardinality" c1 c2;
-      Alcotest.(check int) "block_reads" br1 br2;
-      Alcotest.(check int) "bits_read" bits1 bits2)
-    before after;
-  (* The batch path decodes each stream through [Stream_table.read_one]
-     — in bulk on the word decoder, streamed on the reference path. *)
-  let run_batch reference =
-    let dev = device ~block_bits:512 ~mem_bits:(16 * 512) () in
-    let inst = Secidx.Static_index.instance dev ~sigma data in
-    Indexing.Instance.set_reference_decode inst reference;
-    let answers, st =
-      Indexing.Instance.query_batch inst (Array.of_list queries)
-    in
-    ( Array.map
-        (fun a ->
-          Cbitmap.Posting.to_list (Indexing.Answer.to_posting ~n a))
-        answers,
-      st.Iosim.Stats.block_reads,
-      st.Iosim.Stats.bits_read )
-  in
-  let a1, br1, bits1 = run_batch true and a2, br2, bits2 = run_batch false in
-  Alcotest.(check (array (list int))) "batch answers" a1 a2;
-  Alcotest.(check int) "batch block_reads" br1 br2;
-  Alcotest.(check int) "batch bits_read" bits1 bits2
+  let postings = Indexing.Common.positions_by_char ~sigma data in
+  List.iter
+    (fun (name, code) ->
+      let table () =
+        Indexing.Stream_table.build ~code
+          (device ~block_bits:128 ~mem_bits:(3 * 128) ())
+          postings
+      in
+      let word = table () and oracle = table () in
+      let measure tab i decode =
+        let dev = Indexing.Stream_table.device tab in
+        let pos, _ = Indexing.Stream_table.payload_span tab ~lo:i ~hi:i in
+        let p, d = charged dev (fun () -> decode dev ~pos) in
+        (p, d, Indexing.Stream_table.read_one tab i)
+      in
+      Array.iteri
+        (fun i expected ->
+          let count = Cbitmap.Posting.cardinal expected in
+          let p1, d1, one1 =
+            measure word i (fun dev ~pos ->
+                Cbitmap.Gap_codec.decode ~code
+                  (Iosim.Device.decoder dev ~pos) ~count)
+          in
+          let p2, d2, one2 =
+            measure oracle i (fun dev ~pos ->
+                Cbitmap.Gap_codec.decode_ref ~code
+                  (Iosim.Device.cursor dev ~pos) ~count)
+          in
+          let what = Printf.sprintf "%s stream %d" name i in
+          Alcotest.(check bool) (what ^ ": posting") true
+            (List.for_all (Cbitmap.Posting.equal expected) [ p1; p2; one1; one2 ]);
+          Alcotest.(check int) (what ^ ": block_reads")
+            d2.Iosim.Stats.block_reads d1.Iosim.Stats.block_reads;
+          Alcotest.(check int) (what ^ ": bits_read")
+            d2.Iosim.Stats.bits_read d1.Iosim.Stats.bits_read)
+        postings)
+    gap_codes
 
 (* [read_one]'s bulk decode charges the device exactly what draining
    the same stream through [Merge.to_posting] charges: two identical
@@ -663,12 +679,7 @@ let test_bulk_decode_charge_parity () =
           postings
       in
       let bulk = table () and streamed = table () in
-      let measure tab f =
-        let st = Iosim.Device.stats (Indexing.Stream_table.device tab) in
-        let before = Iosim.Stats.snapshot st in
-        let p = f () in
-        (p, Iosim.Stats.diff ~before ~after:(Iosim.Stats.snapshot st))
-      in
+      let measure tab f = charged (Indexing.Stream_table.device tab) f in
       Array.iteri
         (fun i expected ->
           let p1, d1 =
@@ -686,12 +697,19 @@ let test_bulk_decode_charge_parity () =
           Alcotest.(check bool) (what ^ ": stats delta") true
             (Iosim.Stats.equal d1 d2))
         postings)
-    [
-      ("gamma", Cbitmap.Gap_codec.Gamma);
-      ("delta", Cbitmap.Gap_codec.Delta);
-      ("rice3", Cbitmap.Gap_codec.Rice 3);
-      ("fibonacci", Cbitmap.Gap_codec.Fibonacci);
-    ]
+    gap_codes
+
+(* A table decodes against its context's device; a context wrapping a
+   different device is refused at build time. *)
+let test_ctx_device_mismatch () =
+  let dev_a = device () and dev_b = device () in
+  Alcotest.check_raises "foreign context"
+    (Invalid_argument "Stream_table.build: ctx wraps a different device")
+    (fun () ->
+      ignore
+        (Indexing.Stream_table.build ~ctx:(Indexing.Context.create dev_a)
+           dev_b
+           [| Cbitmap.Posting.of_list [ 1; 5 ] |]))
 
 let test_model_sanity () =
   (* The model itself reproduces a seed-era hand-check
@@ -761,6 +779,8 @@ let suite =
       test_theorem2_trace_codec_parity;
     Alcotest.test_case "bulk stream decode charges like the streamed decode"
       `Quick test_bulk_decode_charge_parity;
+    Alcotest.test_case "table refuses a context on another device" `Quick
+      test_ctx_device_mismatch;
     Alcotest.test_case "blocks spanned" `Quick test_blocks_spanned;
     Alcotest.test_case "stats diff" `Quick test_stats_diff;
     qcheck prop_device_roundtrip;
